@@ -12,7 +12,7 @@ import itertools
 import time
 from dataclasses import dataclass
 
-from .charoracle import tensor_decompose_oracle
+from .charoracle import tensor_decompose_oracle, weyl_dim
 from .errors import InputError
 from .invariants import (
     dominant_pool,
@@ -87,7 +87,10 @@ def _ls_chain_sanity(bound, engine, workers):
     for label, b in plan:
         R = build_root_system(label)
         for shape in dominant_pool(R, b, "coords"):
-            for chain in enumerate_ls_chains(R, shape):
+            chains, dim = enumerate_ls_chains(R, shape), weyl_dim(R, shape)
+            if len(chains) != dim:
+                return False, f"|LS({label}, {shape})| = {len(chains)}, expected {dim}"
+            for chain in chains:
                 deltas = delta_sequence(chain)
                 if any(x.denominator != 1 for x in deltas[-1]):
                     return False, f"{label} chain {chain} has fractional endpoint"

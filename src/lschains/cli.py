@@ -82,7 +82,7 @@ def _add_engine(p):
 
 def _add_workers(p):
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers for the sweep (capped by LSCHAINS_MAX_WORKERS)")
+                   help="parallel workers for the sweep (capped by the CPU count and LSCHAINS_MAX_WORKERS)")
 
 
 def _build_parser() -> _Parser:
@@ -472,10 +472,15 @@ def main(argv=None) -> int:
         text = json.dumps(doc, indent=2)
     else:
         text = "\n".join(lines)
+    try:
+        out = open(args.out, "w") if args.out else None
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return 1
     print(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+    if out is not None:
+        with out:
+            out.write(text + "\n")
     return 2 if violated else 0
 
 

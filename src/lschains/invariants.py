@@ -184,11 +184,15 @@ def _verify_task(ws: tuple[Weight, ...]) -> VerificationRow:
 
 
 def effective_workers(workers: int | None) -> int:
-    """Requested worker count clamped by the LSCHAINS_MAX_WORKERS env var."""
+    """Requested worker count clamped by os.cpu_count() and the LSCHAINS_MAX_WORKERS env var."""
     n = 1 if workers is None else max(1, int(workers))
+    n = min(n, os.cpu_count() or 1)
     cap = os.environ.get("LSCHAINS_MAX_WORKERS")
     if cap is not None:
-        n = min(n, max(1, int(cap)))
+        try:
+            n = min(n, max(1, int(cap)))
+        except ValueError:
+            raise InputError(f"LSCHAINS_MAX_WORKERS={cap!r} is not an integer") from None
     return n
 
 

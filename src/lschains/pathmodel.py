@@ -15,14 +15,22 @@ non-integrality raises InvariantViolation.
 Every admissible cut b, written in lowest terms a/d, must have d dividing
 the pairing of each cover on some saturated chain, so d never exceeds the
 maximum cover pairing D of the orbit poset.  Enumeration therefore draws
-cuts from the Farey fractions of order D and is complete.
+cuts from the Farey fractions of order D and is complete.  It runs on ints
+only: a cut is its index k in the sorted Farey table, whose entries hold
+the cut scaled by L = lcm(2..D) and its denominator; the scaled partial
+sums L * delta_t give each chain's endpoint and depth, integrality is a
+divisibility test by L, and each shape caches one packed tuple of
+(endpoint, depth) pairs for the counting rule.  LSChain objects, with
+Fraction cuts, are built from the cached enumeration only on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache
+from math import gcd, lcm
+from operator import add
+from typing import NamedTuple
 
 from .errors import InputError, InvariantViolation
 from .rootsys import (
@@ -76,59 +84,86 @@ def b_order_leq(P: OrbitPoset, x: Weight, y: Weight, b) -> bool:
     return bool((P.down_mask(b.denominator)[yi] >> xi) & 1)
 
 
-def _farey(maxden: int) -> tuple[Q, ...]:
-    vals = {Q(a, d) for d in range(2, maxden + 1) for a in range(1, d)}
-    return tuple(sorted(vals))
+def _farey(maxden: int) -> tuple[int, list[tuple[int, int]]]:
+    """L = lcm(2..maxden) and the sorted Farey cuts in (0, 1) as (L * b, denominator)."""
+    L = lcm(*range(1, maxden + 1))
+    return L, sorted((L // d * a, d) for d in range(2, maxden + 1)
+                     for a in range(1, d) if gcd(a, d) == 1)
 
 
-_CHAIN_CACHE: dict[tuple[str, Weight], tuple[LSChain, ...]] = {}
+class _ChainTable(NamedTuple):
+    """Every chain of one shape, in ints: a cut is an index into `cuts`."""
+
+    poset: OrbitPoset
+    scale: int  # L = lcm(2..D)
+    cuts: list[int]  # L * b for the sorted Farey cuts, then L * 1
+    chains: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (step indices, cut indices)
+    packed: tuple[tuple[Weight, Weight], ...]  # (endpoint, depth) per chain
+
+
+_CHAIN_CACHE: dict[tuple[str, Weight], _ChainTable] = {}
+
+
+def _chain_table(R: RootSystem, mu: Weight) -> _ChainTable:
+    """The chains of shape mu in canonical (steps, cuts) order.
+
+    Works downward: every orbit element is a valid top step mu_l, and each
+    recursion prepends a lower first step y <_b x = mu_0 with a cut c below
+    the current first cut.  That moves every L * delta_t with t >= 1 by
+    c * (y - x) and adds L * delta_1 = c * y, so each chain carries its
+    scaled endpoint and the minimum of its scaled delta_t over t >= 1.
+    """
+    key = (R.label, mu)
+    table = _CHAIN_CACHE.get(key)
+    if table is not None:
+        return table
+    P = weyl_orbit_poset(R, mu)
+    L, farey = _farey(P.max_pairing)
+    cuts = [c for c, _ in farey] + [L]
+    masks = [P.down_mask(d) for _, d in farey]
+    below = [[(k, m[x]) for k, m in enumerate(masks) if m[x]] for x in range(len(P))]
+    elements = P.elements
+    found = []
+
+    def extend(x: int, bound: int, steps: tuple, ks: tuple, end: Weight, low: Weight):
+        found.append((steps, ks, end, low))
+        for k, mask in below[x]:
+            if k >= bound:
+                break
+            c = cuts[k]
+            while mask:
+                bit = mask & -mask
+                y = bit.bit_length() - 1
+                mask ^= bit
+                shift = tuple(c * (a - b) for a, b in zip(elements[y], elements[x]))
+                extend(y, k, (y,) + steps, (k,) + ks, tuple(map(add, end, shift)),
+                       tuple(map(min, map(add, low, shift), (c * a for a in elements[y]))))
+
+    for top, w in enumerate(elements):
+        end = tuple(L * a for a in w)
+        extend(top, len(farey), (top,), (), end, end)
+    found.sort()
+    packed = []
+    for steps, ks, end, low in found:
+        depth = tuple(min(0, m) for m in low)
+        if any(x % L for x in end + depth):
+            raise InvariantViolation(f"chain {steps}, {ks} of {mu} is not integral")
+        packed.append((tuple(x // L for x in end), tuple(x // L for x in depth)))
+    chains = tuple((steps, ks) for steps, ks, _, _ in found)
+    table = _CHAIN_CACHE[key] = _ChainTable(P, L, cuts, chains, tuple(packed))
+    return table
 
 
 def enumerate_ls_chains(R: RootSystem, mu) -> tuple[LSChain, ...]:
-    """All LS chains of shape mu, in canonical (steps, cuts) order.
-
-    Works downward: every orbit element is a valid top step mu_l, and each
-    recursion prepends a lower first step x <_b mu_t with a cut below the
-    current first cut.
-    """
+    """All LS chains of shape mu, in canonical (steps, cuts) order."""
     mu = tuple(mu)
-    key = (R.label, mu)
-    cached = _CHAIN_CACHE.get(key)
-    if cached is not None:
-        return cached
-    P = weyl_orbit_poset(R, mu)
-    candidates = _farey(P.max_pairing)
-    masks = {b.denominator: P.down_mask(b.denominator) for b in candidates}
-    n = len(P.elements)
-    found: list[tuple[tuple[int, ...], tuple[Q, ...]]] = []
-
-    def extend(first: int, bound: Q, steps: tuple[int, ...], cuts: tuple[Q, ...]):
-        found.append((steps, cuts))
-        for b in candidates:
-            if b >= bound:
-                break
-            mask = masks[b.denominator][first]
-            while mask:
-                low = mask & -mask
-                y = low.bit_length() - 1
-                mask ^= low
-                extend(y, b, (y,) + steps, (b,) + cuts)
-
-    one = Q(1)
-    for top in range(n):
-        extend(top, one, (top,), ())
-    found.sort()
-    chains = tuple(
-        LSChain(mu, tuple(P.elements[i] for i in steps), cuts) for steps, cuts in found
+    P, L, cuts, chains, _ = _chain_table(R, mu)
+    return tuple(
+        LSChain(mu, tuple(P.elements[i] for i in steps), tuple(Q(cuts[k], L) for k in ks))
+        for steps, ks in chains
     )
-    for c in chains:
-        chain_endpoint(c)
-        chain_depth(c)
-    _CHAIN_CACHE[key] = chains
-    return chains
 
 
-@lru_cache(maxsize=None)
 def delta_sequence(chain: LSChain) -> tuple[RationalWeight, ...]:
     """Partial-sum weights delta_0 = 0, ..., delta_{l+1} = endpoint."""
     rank = len(chain.shape)
@@ -167,10 +202,9 @@ def _decompose_components(R: RootSystem, mu: Weight, nu: Weight) -> dict[Weight,
     comps = _DECOMP_CACHE.get(key)
     if comps is None:
         comps = {}
-        for chain in enumerate_ls_chains(R, mu):
-            depth = chain_depth(chain)
+        for end, depth in _chain_table(R, mu).packed:
             if all(n + d >= 0 for n, d in zip(nu, depth)):
-                lam = tuple(n + w for n, w in zip(nu, chain_endpoint(chain)))
+                lam = tuple(n + w for n, w in zip(nu, end))
                 comps[lam] = comps.get(lam, 0) + 1
         _DECOMP_CACHE[key] = comps
     return comps

@@ -385,6 +385,13 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _int_param(text: str, usage: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{text!r} is not an integer; usage: {usage}") from None
+
+
 def builtin(spec: str) -> Renormalization:
     """Construct a builtin renormalization from its CLI name.
 
@@ -398,7 +405,7 @@ def builtin(spec: str) -> Renormalization:
         if len(parts) not in (2, 3):
             raise InputError("usage: trivial:LABEL[:c]")
         R = build_root_system(parts[1])
-        c = int(parts[2]) if len(parts) == 3 else 1
+        c = _int_param(parts[2], "trivial:LABEL[:c]") if len(parts) == 3 else 1
         if c < 1:
             raise InputError("trivial scaling must be a positive integer")
         return Renormalization(R, R, _scaled_identity(R, c),
@@ -408,7 +415,7 @@ def builtin(spec: str) -> Renormalization:
         if len(parts) != 3:
             raise InputError("usage: frobenius:LABEL:P")
         R = build_root_system(parts[1])
-        p = int(parts[2])
+        p = _int_param(parts[2], "frobenius:LABEL:P")
         if not _is_prime(p):
             raise InputError(f"{p} is not prime")
         return Renormalization(R, R, _scaled_identity(R, p),
@@ -430,7 +437,7 @@ def builtin(spec: str) -> Renormalization:
     if head == "so_to_sp":
         if len(parts) != 2:
             raise InputError("usage: so_to_sp:RANK")
-        ell = int(parts[1])
+        ell = _int_param(parts[1], "so_to_sp:RANK")
         src = build_root_system(f"C{ell}")
         tgt = build_root_system(f"B{ell}")
         return Renormalization(src, tgt, _eps_matrix(src, tgt, 1), _c_by_length(tgt, 2),
@@ -439,7 +446,7 @@ def builtin(spec: str) -> Renormalization:
     if head == "sp_to_spin":
         if len(parts) != 2:
             raise InputError("usage: sp_to_spin:RANK")
-        ell = int(parts[1])
+        ell = _int_param(parts[1], "sp_to_spin:RANK")
         src = build_root_system(f"B{ell}")
         tgt = build_root_system(f"C{ell}")
         return Renormalization(src, tgt, _eps_matrix(src, tgt, 2), _c_by_length(tgt, 2),

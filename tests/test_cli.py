@@ -122,6 +122,14 @@ def test_renorm_map_output(capsys):
     assert out.strip() == "1,0 -> 0,1"
 
 
+@pytest.mark.parametrize("spec", ["so_to_sp:abc", "trivial:B2:x", "frobenius:A2:two"])
+def test_renorm_map_rejects_non_integer_builtin_parameter(capsys, spec):
+    code, out, err = run(capsys, "renorm", "map", spec, "1,0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "not an integer" in err
+
+
 def test_renorm_map_eps_input(capsys):
     code, out, _ = run(capsys, "renorm", "map", "sp_to_spin:2", "eps:1/2,1/2")
     assert code == 0
@@ -153,6 +161,14 @@ def test_verify_exit_code_on_violation(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "trivial:A2", "--bound", "1")
     assert code == 2
     assert "1 violations" in out
+
+
+def test_verify_rejects_non_integer_worker_cap(capsys, monkeypatch):
+    monkeypatch.setenv("LSCHAINS_MAX_WORKERS", "abc")
+    code, out, err = run(capsys, "verify", "g2", "--workers", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "LSCHAINS_MAX_WORKERS" in err
 
 
 def test_frobenius_sweep(capsys):
@@ -202,6 +218,15 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     code, out, _ = run(capsys, "roots", "A2", "--json", "--out", str(path))
     assert code == 0
     assert path.read_text() == out
+
+
+def test_out_to_unwritable_path_fails_before_printing(capsys, tmp_path):
+    path = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "tensor", "B2", "1,0", "0,1", "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and str(path) in err
+    assert not path.exists()
 
 
 def test_help_exits_cleanly(capsys):

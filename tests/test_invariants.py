@@ -1,6 +1,7 @@
 """Invariant dimensions, inequality sweeps, and the saturation scan."""
 
 import itertools
+import os
 from collections import Counter
 
 import pytest
@@ -176,12 +177,29 @@ def test_parallel_rows_match_serial(monkeypatch):
 
 
 def test_worker_env_cap(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
     monkeypatch.setenv("LSCHAINS_MAX_WORKERS", "1")
     assert effective_workers(8) == 1
     monkeypatch.delenv("LSCHAINS_MAX_WORKERS")
     assert effective_workers(8) == 8
     assert effective_workers(None) == 1
     assert effective_workers(0) == 1
+
+
+def test_workers_capped_at_cpu_count(monkeypatch):
+    # computes the count only; no process is started
+    monkeypatch.delenv("LSCHAINS_MAX_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert effective_workers(10_000) == 4
+    assert effective_workers(3) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert effective_workers(10_000) == 1
+
+
+def test_worker_env_cap_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("LSCHAINS_MAX_WORKERS", "abc")
+    with pytest.raises(InputError):
+        effective_workers(2)
 
 
 # ---------------------------------------------------------------------------

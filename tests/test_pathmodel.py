@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lschains import pathmodel
 from lschains.charoracle import tensor_decompose_oracle, weyl_dim
-from lschains.errors import InputError
+from lschains.errors import InputError, InvariantViolation
 from lschains.pathmodel import (
     LSChain,
+    _chain_table,
     b_order_leq,
     chain_depth,
     chain_endpoint,
@@ -82,7 +84,7 @@ BRUTE_CASES = [
     ("A1", (0,)), ("A1", (1,)), ("A1", (2,)), ("A1", (3,)), ("A1", (4,)),
     ("A2", (1, 0)), ("A2", (1, 1)), ("A2", (2, 1)),
     ("B2", (1, 0)), ("B2", (0, 1)), ("B2", (1, 1)), ("B2", (0, 2)),
-    ("C2", (1, 1)), ("G2", (1, 0)), ("G2", (0, 1)),
+    ("B2", (2, 1)), ("C2", (1, 1)), ("C2", (2, 1)), ("G2", (1, 0)), ("G2", (0, 1)),
     ("A3", (1, 0, 1)),
 ]
 
@@ -254,6 +256,32 @@ def test_every_chain_satisfies_definition(label, mu):
         chain_depth(chain)
 
 
+@pytest.mark.parametrize("label,mu", [("G2", (3, 3)), ("B3", (1, 1, 1))])
+def test_packed_endpoint_and_depth_match_fraction_path(label, mu):
+    R = build_root_system(label)
+    table = _chain_table(R, mu)
+    chains = enumerate_ls_chains(R, mu)
+    assert len(table.packed) == len(chains) == weyl_dim(R, mu)
+    for chain, packed in zip(chains, table.packed):
+        assert packed == (chain_endpoint(chain), chain_depth(chain))
+
+
+def test_cut_scale_is_lcm_up_to_the_farey_order():
+    table = _chain_table(build_root_system("G2"), (3, 3))
+    assert table.poset.max_pairing == 15
+    assert table.scale == 360360
+    assert table.cuts[-1] == table.scale
+    assert table.cuts == sorted(table.cuts)
+
+
+def test_non_integral_chain_raises(monkeypatch):
+    # with L doubled, the scaled cut 1 reads b = 1/4, not 1/2: A1 (2,) gets depth -1/2
+    monkeypatch.setattr(pathmodel, "_CHAIN_CACHE", {})
+    monkeypatch.setattr(pathmodel, "_farey", lambda maxden: (4, [(1, 2)]))
+    with pytest.raises(InvariantViolation):
+        enumerate_ls_chains(build_root_system("A1"), (2,))
+
+
 def test_dominant_initial_step_has_zero_depth():
     R = build_root_system("B2")
     for chain in enumerate_ls_chains(R, (2, 1)):
@@ -329,6 +357,28 @@ def test_multiplicity_of_highest_piece():
     for mu, nu in [((1, 0), (0, 1)), ((2, 0), (1, 1))]:
         top = tuple(a + b for a, b in zip(mu, nu))
         assert tensor_multiplicity(R, top, mu, nu) == 1
+
+
+def _small_shapes(label):
+    R = build_root_system(label)
+    return [w for w in itertools.product(range(4), repeat=R.rank) if weyl_dim(R, w) <= 300]
+
+
+SMALL_PAIRS = st.sampled_from(["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3"]).flatmap(
+    lambda label: st.tuples(st.just(label), st.sampled_from(_small_shapes(label)),
+                            st.sampled_from(_small_shapes(label)))
+)
+
+
+@given(SMALL_PAIRS)
+@settings(max_examples=40, deadline=None)
+def test_chain_engine_matches_oracle_on_random_pairs(pair):
+    label, mu, nu = pair
+    R = build_root_system(label)
+    comps = tensor_decompose(R, mu, nu).components
+    assert comps == tensor_decompose_oracle(R, mu, nu).components
+    assert sum(m * weyl_dim(R, lam) for lam, m in comps.items()) == weyl_dim(R, mu) * weyl_dim(R, nu)
+    assert comps == tensor_decompose(R, nu, mu).components
 
 
 @given(st.integers(0, 4), st.integers(0, 4))
