@@ -84,8 +84,9 @@ BRUTE_CASES = [
     ("A1", (0,)), ("A1", (1,)), ("A1", (2,)), ("A1", (3,)), ("A1", (4,)),
     ("A2", (1, 0)), ("A2", (1, 1)), ("A2", (2, 1)),
     ("B2", (1, 0)), ("B2", (0, 1)), ("B2", (1, 1)), ("B2", (0, 2)),
-    ("B2", (2, 1)), ("C2", (1, 1)), ("C2", (2, 1)), ("G2", (1, 0)), ("G2", (0, 1)),
+    ("C2", (1, 1)), ("G2", (1, 0)), ("G2", (0, 1)),
     ("A3", (1, 0, 1)),
+    ("B2", (2, 1)), ("C2", (2, 1)),
 ]
 
 
