@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .errors import InputError, InvariantViolation
+from .errors import InvariantViolation
 from .pathmodel import TensorDecomposition
-from .rootsys import RootSystem, Weight, weyl_orbit
+from .rootsys import RootSystem, Weight, dominant_weight, weyl_orbit
 
 __all__ = [
     "weyl_dim",
@@ -26,18 +26,9 @@ _DIM_CACHE: dict[tuple[str, Weight], int] = {}
 _TABLE_CACHE: dict[tuple[str, Weight], "WeightMultiplicityTable"] = {}
 
 
-def _dominant(R: RootSystem, w, name: str = "weight") -> Weight:
-    w = tuple(w)
-    if len(w) != R.rank or not all(isinstance(x, int) for x in w):
-        raise InputError(f"{name} {w} is not an integral weight of rank {R.rank}")
-    if not R.is_dominant(w):
-        raise InputError(f"{name} {w} is not dominant")
-    return w
-
-
 def weyl_dim(R: RootSystem, lam) -> int:
     """dim V(lam) = prod <lam+rho, a_v> / <rho, a_v> over positive roots."""
-    lam = _dominant(R, lam)
+    lam = dominant_weight(R, lam)
     key = (R.label, lam)
     if key not in _DIM_CACHE:
         shifted = tuple(x + 1 for x in lam)
@@ -96,7 +87,7 @@ def _weight_support(R: RootSystem, lam: Weight) -> set[Weight]:
 
 def weight_multiplicities(R: RootSystem, lam) -> WeightMultiplicityTable:
     """Freudenthal recursion, extended over each Weyl orbit."""
-    lam = _dominant(R, lam)
+    lam = dominant_weight(R, lam)
     key = (R.label, lam)
     cached = _TABLE_CACHE.get(key)
     if cached is not None:
@@ -162,8 +153,8 @@ def tensor_decompose_oracle(R: RootSystem, mu, nu) -> TensorDecomposition:
     Iterates over the weight table of the smaller factor; wall terms vanish
     and every surviving shifted weight folds to a unique component.
     """
-    mu = _dominant(R, mu, "first factor")
-    nu = _dominant(R, nu, "second factor")
+    mu = dominant_weight(R, mu, "first factor")
+    nu = dominant_weight(R, nu, "second factor")
     small, big = (mu, nu) if weyl_dim(R, mu) <= weyl_dim(R, nu) else (nu, mu)
     table = weight_multiplicities(R, small)
     rho = R.weyl_vector

@@ -209,6 +209,8 @@ def _cmd_roots(args):
 
 
 def _cmd_chains(args):
+    if args.limit is not None and args.limit < 0:
+        raise InputError(f"--limit must be nonnegative, got {args.limit}")
     R = build_root_system(args.type)
     shape = parse_weight(R, args.shape)
     chains = enumerate_ls_chains(R, shape)

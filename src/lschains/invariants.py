@@ -7,8 +7,9 @@ base cases are [l] = 1 iff l = 0 and [l, m] = 1 iff m is the dual of l.
 
 Sweeps compare source-side invariant dimensions against target-side ones
 through a renormalization; the inequality under test is lhs <= rhs on
-every tuple.  Sweeps are parallel across tuples when asked; reports are
-deterministic regardless of worker count.
+every tuple.  Sweeps run in forked worker processes when asked, for any
+renormalization, builtin or custom; reports keep tuple order and do not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 
-from .charoracle import tensor_decompose_oracle, weyl_dim
+from .charoracle import tensor_decompose_oracle
 from .errors import InputError
 from .pathmodel import tensor_decompose
 from .renorm import Renormalization, builtin, map_weight
-from .rootsys import RootSystem, Weight, build_root_system, dual_weight
+from .rootsys import RootSystem, Weight, build_root_system, dominant_weight, dual_weight
 
 __all__ = [
     "invariant_dim",
@@ -50,17 +51,10 @@ def clear_invariant_cache() -> None:
 
 
 def _check_tuple(R: RootSystem, weights) -> tuple[Weight, ...]:
-    out = []
-    for w in weights:
-        w = tuple(w)
-        if len(w) != R.rank or not all(isinstance(x, int) for x in w):
-            raise InputError(f"{w} is not an integral weight of {R.label}")
-        if not R.is_dominant(w):
-            raise InputError(f"{w} is not dominant in {R.label}")
-        out.append(w)
+    out = tuple(dominant_weight(R, w) for w in weights)
     if not out:
         raise InputError("at least one weight is required")
-    return tuple(out)
+    return out
 
 
 def _pair_components(R: RootSystem, a: Weight, b: Weight, engine: str):
@@ -171,18 +165,6 @@ def _verify_row(rn: Renormalization, ws: tuple[Weight, ...], engine: str) -> Ver
     return VerificationRow(ws, images, lhs, rhs)
 
 
-_WORK: dict = {}
-
-
-def _verify_init(spec: str, engine: str) -> None:
-    _WORK["rn"] = builtin(spec)
-    _WORK["engine"] = engine
-
-
-def _verify_task(ws: tuple[Weight, ...]) -> VerificationRow:
-    return _verify_row(_WORK["rn"], ws, _WORK["engine"])
-
-
 def effective_workers(workers: int | None) -> int:
     """Requested worker count clamped by os.cpu_count() and the LSCHAINS_MAX_WORKERS env var."""
     n = 1 if workers is None else max(1, int(workers))
@@ -196,6 +178,33 @@ def effective_workers(workers: int | None) -> int:
     return n
 
 
+_MAP_FN = None  # the function _parallel_map runs; forked workers inherit it
+
+
+def _call_map_fn(item):
+    return _MAP_FN(item)
+
+
+def _parallel_map(fn, items, workers: int | None) -> list:
+    """[fn(x) for x in items], across forked worker processes when workers allow.
+
+    Forked workers inherit fn, closures included, and the parent's warm memo
+    caches; spawned ones would re-import the package and rebuild those caches
+    on every sweep.  pool.map keeps input order, so results do not depend on
+    the worker count.
+    """
+    global _MAP_FN
+    n = min(effective_workers(workers), len(items))
+    if n <= 1:
+        return [fn(x) for x in items]
+    _MAP_FN = fn
+    try:
+        with multiprocessing.get_context("fork").Pool(n) as pool:
+            return pool.map(_call_map_fn, items, chunksize=max(1, len(items) // (4 * n)))
+    finally:
+        _MAP_FN = None
+
+
 def verify_inequality(
     rn: Renormalization,
     tuples,
@@ -206,22 +215,7 @@ def verify_inequality(
     if engine not in _ENGINES:
         raise InputError(f"engine must be one of {_ENGINES}")
     items = [_check_tuple(rn.source, ws) for ws in tuples]
-    n = effective_workers(workers)
-    parallel = n > 1 and len(items) > 1
-    if parallel:
-        try:
-            builtin(rn.name)
-        except InputError:
-            parallel = False
-    rows: list[VerificationRow]
-    if parallel:
-        # workers rebuild the renormalization from its builtin name; map()
-        # preserves input order, so the report is schedule-independent
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(n, len(items)), _verify_init, (rn.name, engine)) as pool:
-            rows = pool.map(_verify_task, items, chunksize=max(1, len(items) // (4 * n)))
-    else:
-        rows = [_verify_row(rn, ws, engine) for ws in items]
+    rows = _parallel_map(lambda ws: _verify_row(rn, ws, engine), items, workers)
     return VerificationReport(rn.name or "custom", engine, tuple(rows))
 
 
@@ -340,16 +334,6 @@ def _saturation_row(spin: RootSystem, sp: RootSystem, ws, engine: str) -> Satura
     return SaturationRow(ws, spin_value, sp_value, sp_doubled)
 
 
-def _saturation_init(rank: int, engine: str) -> None:
-    _WORK["spin"] = build_root_system(f"B{rank}")
-    _WORK["sp"] = build_root_system(f"C{rank}")
-    _WORK["engine"] = engine
-
-
-def _saturation_task(ws) -> SaturationRow:
-    return _saturation_row(_WORK["spin"], _WORK["sp"], ws, _WORK["engine"])
-
-
 def saturation_scan(
     rank: int,
     n: int,
@@ -372,11 +356,5 @@ def saturation_scan(
     spin = build_root_system(f"B{rank}")
     sp = build_root_system(f"C{rank}")
     items = sweep_tuples(dominant_pool(spin, bound, "coords"), n)
-    k = effective_workers(workers)
-    if k > 1 and len(items) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(k, len(items)), _saturation_init, (rank, engine)) as pool:
-            rows = pool.map(_saturation_task, items, chunksize=max(1, len(items) // (4 * k)))
-    else:
-        rows = [_saturation_row(spin, sp, ws, engine) for ws in items]
+    rows = _parallel_map(lambda ws: _saturation_row(spin, sp, ws, engine), items, workers)
     return SaturationReport(rank, n, bound, tuple(rows))

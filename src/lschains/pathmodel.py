@@ -38,6 +38,7 @@ from .rootsys import (
     RationalWeight,
     RootSystem,
     Weight,
+    dominant_weight,
     weyl_orbit_poset,
 )
 
@@ -156,7 +157,7 @@ def _chain_table(R: RootSystem, mu: Weight) -> _ChainTable:
 
 def enumerate_ls_chains(R: RootSystem, mu) -> tuple[LSChain, ...]:
     """All LS chains of shape mu, in canonical (steps, cuts) order."""
-    mu = tuple(mu)
+    mu = dominant_weight(R, mu)
     P, L, cuts, chains, _ = _chain_table(R, mu)
     return tuple(
         LSChain(mu, tuple(P.elements[i] for i in steps), tuple(Q(cuts[k], L) for k in ks))
@@ -210,15 +211,6 @@ def _decompose_components(R: RootSystem, mu: Weight, nu: Weight) -> dict[Weight,
     return comps
 
 
-def _check_dominant(R: RootSystem, w, name: str) -> Weight:
-    w = tuple(w)
-    if len(w) != R.rank or not all(isinstance(x, int) for x in w):
-        raise InputError(f"{name} {w} is not an integral weight of rank {R.rank}")
-    if not R.is_dominant(w):
-        raise InputError(f"{name} {w} is not dominant")
-    return w
-
-
 @dataclass
 class TensorDecomposition:
     """Multiset of irreducible components of V(left) (x) V(right)."""
@@ -233,16 +225,16 @@ class TensorDecomposition:
 
 def tensor_multiplicity(R: RootSystem, lam, mu, nu) -> int:
     """Chains C of shape mu with nu + depth(C) dominant and nu + omega(C) = lam."""
-    lam = _check_dominant(R, lam, "target weight")
-    mu = _check_dominant(R, mu, "shape weight")
-    nu = _check_dominant(R, nu, "second factor")
+    lam = dominant_weight(R, lam, "target weight")
+    mu = dominant_weight(R, mu, "shape weight")
+    nu = dominant_weight(R, nu, "second factor")
     return _decompose_components(R, mu, nu).get(lam, 0)
 
 
 def tensor_decompose(R: RootSystem, mu, nu) -> TensorDecomposition:
     """Full decomposition of V(mu) (x) V(nu) by the chain-counting rule."""
-    mu = _check_dominant(R, mu, "shape weight")
-    nu = _check_dominant(R, nu, "second factor")
+    mu = dominant_weight(R, mu, "shape weight")
+    nu = dominant_weight(R, nu, "second factor")
     comps = _decompose_components(R, mu, nu)
     return TensorDecomposition(mu, nu, dict(sorted(comps.items())))
 

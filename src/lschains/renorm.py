@@ -19,7 +19,7 @@ constant scalings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 
 from .errors import InputError, InvariantViolation
@@ -396,7 +396,7 @@ def builtin(spec: str) -> Renormalization:
     """Construct a builtin renormalization from its CLI name.
 
     Forms: trivial:LABEL[:c], short_to_dual:LABEL, so_to_sp:L, sp_to_spin:L,
-    f4, g2, frobenius:LABEL:P.
+    f4, g2, frobenius:LABEL:P.  short_to_dual:BL is so_to_sp:L under its own name.
     """
     parts = spec.strip().split(":")
     head = parts[0]
@@ -430,9 +430,7 @@ def builtin(spec: str) -> Renormalization:
                 "short_to_dual lands on standard coordinates only for type B; "
                 "use sp_to_spin for C, and the f4/g2 builtins for those types"
             )
-        src = build_root_system(f"C{R.rank}")
-        return Renormalization(src, R, _eps_matrix(src, R, 1), _c_by_length(R, 2),
-                               name=spec, prime=2, target_lattice="eps_int")
+        return replace(builtin(f"so_to_sp:{R.rank}"), name=spec)
 
     if head == "so_to_sp":
         if len(parts) != 2:

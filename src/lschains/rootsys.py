@@ -32,6 +32,7 @@ __all__ = [
     "pairing",
     "reflect",
     "weyl_orbit_poset",
+    "dominant_weight",
     "dual_weight",
     "weyl_orbit",
     "weyl_group_order",
@@ -174,7 +175,6 @@ class RootSystem:
         # normalize the form so the shortest root has squared length 2
         min_len = min(_dot(a, a) for a in amb)
         scale = Q(2) / min_len
-        self._scale = scale
         lengths = [scale * _dot(a, a) / 2 for a in amb]
         if any(d.denominator != 1 for d in lengths):
             raise InvariantViolation(f"non-integral root lengths for {label}")
@@ -302,19 +302,39 @@ def reflect(R: RootSystem, w, root_index: int):
     return R.reflect_root(w, root_index)
 
 
+def dominant_weight(R: RootSystem, w, name: str = "weight") -> Weight:
+    """w as a tuple if it is a dominant weight of R with int entries; else InputError."""
+    w = tuple(w)
+    if len(w) != R.rank or not all(isinstance(x, int) for x in w):
+        raise InputError(f"{name} {w} is not an integral weight of rank {R.rank}")
+    if not R.is_dominant(w):
+        raise InputError(f"{name} {w} is not dominant")
+    return w
+
+
 def dual_weight(R: RootSystem, w: Weight) -> Weight:
     """Highest weight of the dual representation: dominant rep of -w."""
-    if not R.is_dominant(w):
-        raise InputError(f"dual_weight expects a dominant weight, got {w}")
+    w = dominant_weight(R, w)
     return R.dominant_rep(tuple(-x for x in w))
 
 
-def _check_weight(R: RootSystem, w) -> Weight:
-    if len(w) != R.rank:
-        raise InputError(f"weight {w} has wrong rank for {R.label}")
-    if not all(isinstance(x, int) or (isinstance(x, Q) and x.denominator == 1) for x in w):
-        raise InputError(f"weight {w} is not integral")
-    return tuple(int(x) for x in w)
+def _orbit(R: RootSystem, base: Weight) -> list[Weight]:
+    """Weyl orbit of a dominant weight, level by level from base, each level sorted."""
+    elements = [base]
+    seen = {base}
+    frontier = [base]
+    while frontier:
+        nxt = set()
+        for w in frontier:
+            for i in range(R.rank):
+                if w[i] > 0:
+                    child = R.reflect_root(w, i)
+                    if child not in seen:
+                        nxt.add(child)
+        frontier = sorted(nxt)
+        seen.update(frontier)
+        elements.extend(frontier)
+    return elements
 
 
 class OrbitPoset:
@@ -328,23 +348,8 @@ class OrbitPoset:
     def __init__(self, R: RootSystem, base: Weight):
         self.system = R
         self.base = base
-        elements: list[Weight] = [base]
-        index = {base: 0}
-        frontier = [base]
-        while frontier:
-            nxt = set()
-            for w in frontier:
-                for i in range(R.rank):
-                    if w[i] > 0:
-                        child = R.reflect_root(w, i)
-                        if child not in index:
-                            nxt.add(child)
-            frontier = sorted(nxt)
-            for w in frontier:
-                index[w] = len(elements)
-                elements.append(w)
-        self.elements = tuple(elements)
-        self.index = index
+        elements = self.elements = tuple(_orbit(R, base))
+        index = self.index = {w: i for i, w in enumerate(elements)}
 
         n = len(elements)
         relations: list[Cover] = []
@@ -403,9 +408,7 @@ class OrbitPoset:
 
 def weyl_orbit_poset(R: RootSystem, mu) -> OrbitPoset:
     """Memoized orbit poset for a dominant integral weight."""
-    w = _check_weight(R, mu)
-    if not R.is_dominant(w):
-        raise InputError(f"orbit poset expects a dominant weight, got {w}")
+    w = dominant_weight(R, mu)
     poset = R._orbit_cache.get(w)
     if poset is None:
         poset = OrbitPoset(R, w)
@@ -415,22 +418,7 @@ def weyl_orbit_poset(R: RootSystem, mu) -> OrbitPoset:
 
 def weyl_orbit(R: RootSystem, mu) -> tuple[Weight, ...]:
     """The Weyl orbit of a dominant weight, without any order structure."""
-    w = _check_weight(R, mu)
-    if not R.is_dominant(w):
-        raise InputError(f"weyl_orbit expects a dominant weight, got {w}")
-    seen = {w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(R.rank):
-                if v[i] > 0:
-                    child = R.reflect_root(v, i)
-                    if child not in seen:
-                        seen.add(child)
-                        nxt.append(child)
-        frontier = nxt
-    return tuple(sorted(seen))
+    return tuple(sorted(_orbit(R, dominant_weight(R, mu))))
 
 
 _EXCEPTIONAL_WEYL = {"E6": 51840, "E7": 2903040, "E8": 696729600, "F4": 1152, "G2": 12}

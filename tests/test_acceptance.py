@@ -4,12 +4,16 @@ Each test prints the one-line PASS/FAIL summary for its criterion, so
 `pytest -sv tests/test_acceptance.py` reads as a checklist.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from lschains.acceptance import CRITERIA, DEFAULT_BOUNDS, run_all, run_criterion
 from lschains.errors import InputError
 
 CRITERION_NAMES = list(CRITERIA)
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "accept_reference.json"
 
 
 def test_every_criterion_is_covered_here():
@@ -33,6 +37,7 @@ def test_criterion(name):
     result = run_criterion(name, bound=DEFAULT_BOUNDS[name])
     print(result.line())
     assert result.passed, result.line()
+    assert result.detail == json.loads(REFERENCE.read_text())["full"][name]
 
 
 def test_run_all_validates_configuration():

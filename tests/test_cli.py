@@ -68,6 +68,13 @@ def test_chains_listing(capsys):
     assert "1/2" in out
 
 
+def test_chains_rejects_negative_limit(capsys):
+    code, out, err = run(capsys, "chains", "A1", "2", "--limit", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--limit" in err
+
+
 def test_chains_json_counts(capsys):
     code, doc, _ = run_json(capsys, "chains", "G2", "1,0")
     assert code == 0

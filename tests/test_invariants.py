@@ -3,6 +3,7 @@
 import itertools
 import os
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -167,9 +168,12 @@ def test_report_serialization_round_trip():
     assert data["rows"][0]["lhs"] <= data["rows"][0]["rhs"]
 
 
-def test_parallel_rows_match_serial(monkeypatch):
+@pytest.mark.parametrize("rn", [builtin("so_to_sp:2"), replace(builtin("so_to_sp:2"), name="")],
+                         ids=["builtin", "custom"])
+def test_parallel_rows_match_serial(monkeypatch, rn):
+    # a cpu count of 4 lets workers=3 start a pool on any runner
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.delenv("LSCHAINS_MAX_WORKERS", raising=False)
-    rn = builtin("so_to_sp:2")
     tuples = sweep_tuples(dominant_pool(rn.source, 1), 2)
     serial = verify_inequality(rn, tuples, workers=1)
     parallel = verify_inequality(rn, tuples, workers=3)
@@ -248,6 +252,7 @@ def test_saturation_scan_validates_arguments():
 
 
 def test_saturation_parallel_rows_match_serial(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.delenv("LSCHAINS_MAX_WORKERS", raising=False)
     serial = saturation_scan(2, 2, 1, workers=1)
     parallel = saturation_scan(2, 2, 1, workers=3)

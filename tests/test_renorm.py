@@ -1,5 +1,6 @@
 """Renormalization validation, weight/chain transport, and duality."""
 
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -100,6 +101,7 @@ def test_symplectic_to_spin_images():
 def test_short_to_dual_is_b_series_only():
     rn = builtin("short_to_dual:B3")
     assert rn.source.label == "C3" and rn.target.label == "B3"
+    assert rn == replace(builtin("so_to_sp:3"), name="short_to_dual:B3")
     with pytest.raises(InputError):
         builtin("short_to_dual:C3")
     with pytest.raises(InputError):

@@ -12,7 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lschains.charoracle import tensor_decompose_oracle, weight_multiplicities, weyl_dim
 from lschains.errors import InputError
+from lschains.invariants import invariant_dim
+from lschains.pathmodel import enumerate_ls_chains, tensor_decompose, tensor_multiplicity
 from lschains.rootsys import (
     OrbitPoset,
     build_root_system,
@@ -374,6 +377,37 @@ def test_dual_weight_is_involution():
 def test_dual_weight_rejects_non_dominant():
     with pytest.raises(InputError):
         dual_weight(build_root_system("A2"), (-1, 0))
+
+
+# every public entry point that takes highest weights, with its weight count
+WEIGHT_ENTRY_POINTS = {
+    "weyl_orbit_poset": (weyl_orbit_poset, 1),
+    "weyl_orbit": (weyl_orbit, 1),
+    "dual_weight": (dual_weight, 1),
+    "enumerate_ls_chains": (enumerate_ls_chains, 1),
+    "tensor_decompose": (tensor_decompose, 2),
+    "tensor_multiplicity": (tensor_multiplicity, 3),
+    "weyl_dim": (weyl_dim, 1),
+    "weight_multiplicities": (weight_multiplicities, 1),
+    "tensor_decompose_oracle": (tensor_decompose_oracle, 2),
+    "invariant_dim": (lambda R, *ws: invariant_dim(R, ws), 3),
+}
+BAD_WEIGHTS = {"wrong-rank": (1,), "fraction": (Q(1), 0), "non-dominant": (1, -1)}
+
+
+@pytest.mark.parametrize("bad", BAD_WEIGHTS.values(), ids=BAD_WEIGHTS)
+@pytest.mark.parametrize("name", WEIGHT_ENTRY_POINTS)
+def test_entry_points_reject_bad_weights(name, bad):
+    # warm every memo cache with (1, 0) first: the integral Fraction (1, 0)
+    # hashes like it, so the check must run before any cache lookup
+    fn, arity = WEIGHT_ENTRY_POINTS[name]
+    R = build_root_system("A2")
+    fn(R, *[(1, 0)] * arity)
+    for pos in range(arity):
+        args = [(1, 0)] * arity
+        args[pos] = bad
+        with pytest.raises(InputError):
+            fn(R, *args)
 
 
 def test_label_parsing():
