@@ -3,13 +3,13 @@
 Dimensions come from the Weyl product formula, weight multiplicities from
 the Freudenthal recursion, and tensor products from signed reflection of
 shifted weights into the dominant chamber (Brauer-Klimyk).  Everything is
-exact rational arithmetic.
+exact integer arithmetic: Freudenthal runs over the dominant weights only,
+with the W-invariant form written through root lengths and pairings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 
 from .errors import InvariantViolation
 from .pathmodel import TensorDecomposition
@@ -37,10 +37,10 @@ def weyl_dim(R: RootSystem, lam) -> int:
         for r in R.positive_roots:
             num *= sum(c * x for c, x in zip(r.coroot, shifted))
             den *= sum(r.coroot)
-        q = Q(num, den)
-        if q.denominator != 1:
+        dim, rem = divmod(num, den)
+        if rem:
             raise InvariantViolation(f"non-integral Weyl dimension for {lam} in {R.label}")
-        _DIM_CACHE[key] = int(q)
+        _DIM_CACHE[key] = dim
     return _DIM_CACHE[key]
 
 
@@ -55,34 +55,25 @@ class WeightMultiplicityTable:
         return self.entries.get(tuple(w), 0)
 
 
-def _root_coords(R: RootSystem, w) -> tuple[Q, ...] | None:
-    """Coefficients of w over the simple roots, or None if not in the span basis."""
-    # fundamental coords f relate to root coords n by f = n * cartan
-    return tuple(
-        sum(Q(w[k]) * R.cartan_inv[k][j] for k in range(R.rank)) for j in range(R.rank)
-    )
+def _dominant_weights(R: RootSystem, lam: Weight) -> list[tuple[Weight, Weight]]:
+    """Each dominant weight mu of V(lam) with its depth n: lam - mu = sum n_i alpha_i.
 
-
-def _in_weight_cone(R: RootSystem, lam: Weight, w: Weight) -> bool:
-    diff = tuple(a - b for a, b in zip(lam, w))
-    coords = _root_coords(R, diff)
-    return all(c.denominator == 1 and c >= 0 for c in coords)
-
-
-def _weight_support(R: RootSystem, lam: Weight) -> set[Weight]:
-    """All weights of V(lam): orbit-closure below lam through simple lowerings."""
-    support = {lam}
+    Every dominant mu below lam in the dominance order is reached from lam by
+    positive-root steps through dominant weights (Stembridge 1998).  Sorted by
+    (sum(n), mu), so each mu comes after every dominant weight above it.
+    """
+    depth = {lam: (0,) * R.rank}
     frontier = [lam]
     while frontier:
         nxt = []
-        for w in frontier:
-            for i in range(R.rank):
-                child = tuple(x - a for x, a in zip(w, R.positive_roots[i].fund))
-                if child not in support and _in_weight_cone(R, lam, R.dominant_rep(child)):
-                    support.add(child)
+        for mu in frontier:
+            for r in R.positive_roots:
+                child = tuple(x - a for x, a in zip(mu, r.fund))
+                if child not in depth and R.is_dominant(child):
+                    depth[child] = tuple(k + c for k, c in zip(depth[mu], r.coeffs))
                     nxt.append(child)
         frontier = nxt
-    return support
+    return sorted(depth.items(), key=lambda item: (sum(item[1]), item[0]))
 
 
 def weight_multiplicities(R: RootSystem, lam) -> WeightMultiplicityTable:
@@ -93,34 +84,21 @@ def weight_multiplicities(R: RootSystem, lam) -> WeightMultiplicityTable:
     if cached is not None:
         return cached
 
-    support = _weight_support(R, lam)
-    dominants = sorted(
-        (w for w in support if R.is_dominant(w)),
-        key=lambda w: (sum(_root_coords(R, tuple(a - b for a, b in zip(lam, w)))), w),
-    )
-    rho = R.weyl_vector
-    lam_rho = tuple(a + b for a, b in zip(lam, rho))
-    norm_top = R.inner(lam_rho, lam_rho)
-    mults: dict[Weight, int] = {}
-    for nu in dominants:
-        if nu == lam:
-            mults[nu] = 1
-            continue
-        total = Q(0)
+    mults: dict[Weight, int] = {lam: 1}
+    for nu, n in _dominant_weights(R, lam)[1:]:
+        total = 0
         for r in R.positive_roots:
-            k = 1
-            while True:
-                w = tuple(x + k * a for x, a in zip(nu, r.fund))
-                if w not in support:
-                    break
-                total += mults[R.dominant_rep(w)] * R.inner(w, r.fund)
-                k += 1
-        nu_rho = tuple(a + b for a, b in zip(nu, rho))
-        denom = norm_top - R.inner(nu_rho, nu_rho)
-        value = 2 * total / denom
-        if value.denominator != 1 or value <= 0:
+            w = tuple(x + a for x, a in zip(nu, r.fund))
+            # the rep of w lies strictly above nu, so it is filled iff w is a weight
+            while (m := mults.get(R.dominant_rep(w))) is not None:
+                total += m * r.d * R.pairing_root(w, r.index)
+                w = tuple(x + a for x, a in zip(w, r.fund))
+        # |lam+rho|^2 - |nu+rho|^2 = (lam - nu, lam + nu + 2 rho)
+        denom = sum(k * d * (a + b + 2) for k, d, a, b in zip(n, R.simple_d, lam, nu))
+        value, rem = divmod(2 * total, denom)
+        if rem or value <= 0:
             raise InvariantViolation(f"Freudenthal failure at {nu} in V({lam}), {R.label}")
-        mults[nu] = int(value)
+        mults[nu] = value
 
     entries: dict[Weight, int] = {}
     for nu, m in mults.items():

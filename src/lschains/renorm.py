@@ -221,8 +221,11 @@ def _lattice_generators(R: RootSystem, tag: str | None) -> list[Weight]:
 def map_weight(rn: Renormalization, w) -> Weight:
     """phi applied to an integral source weight; integrality is enforced."""
     w = tuple(w)
-    if len(w) != rn.source.rank:
-        raise InputError(f"weight {w} has wrong rank for {rn.source.label}")
+    if len(w) != rn.source.rank or not all(isinstance(x, int) for x in w):
+        raise InputError(
+            f"weight {w} is not an integral weight of rank {rn.source.rank} "
+            f"for {rn.source.label}"
+        )
     if not _lattice_member(rn.source, rn.source_lattice, w):
         raise InputError(f"{w} lies outside the declared source lattice")
     img = matvec(rn.phi, w)

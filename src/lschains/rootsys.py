@@ -5,7 +5,8 @@ for `Weight`, Fractions for `RationalWeight`.  Ambient Bourbaki epsilon
 coordinates appear only at the construction boundary (the simple-root tables)
 and in the eps <-> fundamental converters for types B and C.
 
-The inner product is normalized so short roots have squared length 2.
+Root lengths (`Root.d`, `simple_d`) are normalized so short roots have squared
+length 2.
 """
 
 from __future__ import annotations
@@ -200,11 +201,6 @@ class RootSystem:
             roots.append(Root(idx, coeffs, fund, tuple(coroot), ambient, d))
         self.positive_roots: tuple[Root, ...] = tuple(roots)
         self.root_by_fund = {r.fund: r.index for r in roots}
-        # Gram matrix of the fundamental weights: G = A^{-1} D, D = diag(d_j)
-        self.fund_gram: Mat = tuple(
-            tuple(self.cartan_inv[i][j] * self.simple_d[j] for j in range(rank))
-            for i in range(rank)
-        )
         self.weyl_vector: Weight = (1,) * rank
         # columns: ambient coordinates of the fundamental weights
         self._amb_of_fund: Mat = tuple(
@@ -243,14 +239,6 @@ class RootSystem:
             if i is None:
                 return v
             v = self.reflect_root(v, i)
-
-    def inner(self, x, y) -> Q:
-        """Normalized W-invariant form on fundamental coordinates."""
-        return sum(
-            Q(x[i]) * self.fund_gram[i][j] * Q(y[j])
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
 
     def to_ambient(self, w) -> RationalWeight:
         return matvec(self._amb_of_fund, w)

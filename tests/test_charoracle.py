@@ -1,18 +1,21 @@
 """Dimension formula, weight multiplicities, and the signed-folding product."""
 
 import itertools
+from collections import Counter
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lschains import charoracle
 from lschains.charoracle import (
     tensor_decompose_oracle,
     weight_multiplicities,
     weyl_dim,
 )
-from lschains.errors import InputError
+from lschains.errors import InputError, InvariantViolation
+from lschains.pathmodel import chain_endpoint, enumerate_ls_chains
 from lschains.rootsys import build_root_system, weyl_orbit
 
 KNOWN_DIMS = [
@@ -109,13 +112,52 @@ def test_b2_vector_rep_weights():
 
 @pytest.mark.parametrize(
     "label,lam",
-    [("A2", (2, 1)), ("B2", (1, 1)), ("C3", (0, 1, 0)), ("G2", (1, 0)), ("F4", (0, 0, 0, 1))],
+    [("A2", (2, 1)), ("B2", (1, 1)), ("C3", (0, 1, 0)), ("G2", (1, 0)), ("F4", (0, 0, 0, 1)),
+     ("E8", (1, 0, 0, 0, 0, 0, 0, 0)), ("E7", (0, 0, 0, 0, 0, 0, 2))],
 )
 def test_multiplicities_sum_to_dimension(label, lam):
     R = build_root_system(label)
     table = weight_multiplicities(R, lam)
     assert sum(table.entries.values()) == weyl_dim(R, lam)
     assert all(m > 0 for m in table.entries.values())
+
+
+def test_e8_w1_table():
+    # V(w1) of E8, 3875-dim: orbits of w1 (2160), w8 (the 240 roots) and 0
+    R = build_root_system("E8")
+    w1, w8, zero = (1,) + (0,) * 7, (0,) * 7 + (1,), (0,) * 8
+    table = weight_multiplicities(R, w1)
+    dominant = {w: m for w, m in table.entries.items() if R.is_dominant(w)}
+    assert dominant == {w1: 1, w8: 7, zero: 35}
+    assert len(table.entries) == 2401
+
+
+def test_misscaled_form_trips_the_integrality_guard(monkeypatch):
+    R = build_root_system("G2")
+    monkeypatch.setattr(charoracle, "_TABLE_CACHE", {})
+    monkeypatch.setattr(R, "simple_d", (3, 1))
+    with pytest.raises(InvariantViolation, match=r"Freudenthal failure at \(0, 0\)"):
+        weight_multiplicities(R, (1, 0))
+
+
+def _cross_engine_shapes():
+    pools = [("A1", 4)] + [(label, 2) for label in ("A2", "B2", "C2", "G2")]
+    pools += [(label, 1) for label in ("A3", "B3", "C3", "D4", "F4")]
+    shapes = []
+    for label, bound in pools:
+        R = build_root_system(label)
+        for lam in itertools.product(range(bound + 1), repeat=R.rank):
+            if weyl_dim(R, lam) <= 2000:
+                shapes.append((label, lam))
+    return shapes
+
+
+@pytest.mark.parametrize("label,lam", _cross_engine_shapes())
+def test_table_is_the_path_model_character(label, lam):
+    # the endpoints of the LS chains of shape lam are the weights of V(lam)
+    R = build_root_system(label)
+    endpoints = Counter(chain_endpoint(c) for c in enumerate_ls_chains(R, lam))
+    assert weight_multiplicities(R, lam).entries == endpoints
 
 
 def test_multiplicity_is_weyl_invariant():

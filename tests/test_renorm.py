@@ -217,6 +217,12 @@ def test_map_weight_checks_rank():
         map_weight(builtin("g2"), (1, 0, 0))
 
 
+@pytest.mark.parametrize("w", [(Q(1, 2), 0), ("1", 0), (Q(2), 0)])
+def test_map_weight_rejects_non_int_entries(w):
+    with pytest.raises(InputError, match="not an integral weight"):
+        map_weight(builtin("g2"), w)
+
+
 def test_fractional_image_is_an_invariant_violation():
     rn = _rn("A1", ((Q(1, 2),),))
     with pytest.raises(InvariantViolation):
