@@ -19,6 +19,7 @@ from .invariants import (
     SaturationRow,
     VerificationReport,
     VerificationRow,
+    clear_caches,
     dominant_pool,
     frobenius_check,
     invariant_dim,
@@ -102,6 +103,7 @@ __all__ = [
     "dual_renormalization",
     "special_exponents",
     "invariant_dim",
+    "clear_caches",
     "VerificationRow",
     "VerificationReport",
     "verify_inequality",

@@ -21,13 +21,7 @@ from .invariants import (
     sweep_tuples,
     verify_inequality,
 )
-from .pathmodel import (
-    chain_depth,
-    chain_endpoint,
-    delta_sequence,
-    enumerate_ls_chains,
-    tensor_decompose,
-)
+from .pathmodel import chain_weights, delta_sequence, enumerate_ls_chains, tensor_decompose
 from .renorm import (
     builtin,
     builtin_catalog,
@@ -149,15 +143,17 @@ def _chain_transport(bound, engine, workers):
         for shape in dominant_pool(rn.source, bound, "coords"):
             chains = enumerate_ls_chains(rn.source, shape)
             moved = [transport_chain(rn, c) for c in chains]
-            if len(set(moved)) != len(chains):
+            keys = [(t.steps, t.cuts) for t in moved]
+            if len(set(keys)) != len(chains):
                 return False, f"{spec}: transport not injective on shape {shape}"
-            target_set = set(enumerate_ls_chains(rn.target, map_weight(rn, shape)))
-            for c, t in zip(chains, moved):
-                if t not in target_set:
+            targets = {(t.steps, t.cuts) for t in enumerate_ls_chains(rn.target, map_weight(rn, shape))}
+            for c, t, key in zip(chains, moved, keys):
+                if key not in targets:
                     return False, f"{spec}: image of {c} is not a chain of the image shape"
-                if chain_endpoint(t) != map_weight(rn, chain_endpoint(c)):
+                (end, depth), (t_end, t_depth) = chain_weights(c), chain_weights(t)
+                if t_end != map_weight(rn, end):
                     return False, f"{spec}: endpoint does not commute on {c}"
-                if chain_depth(t) != map_weight(rn, chain_depth(c)):
+                if t_depth != map_weight(rn, depth):
                     return False, f"{spec}: depth does not commute on {c}"
             total += len(chains)
     return True, f"{total} chains transported injectively; endpoint and depth commute"

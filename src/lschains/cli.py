@@ -99,6 +99,8 @@ def _build_parser() -> _Parser:
     p.add_argument("type")
     p.add_argument("shape")
     p.add_argument("--limit", type=int, default=None, help="print at most N chains")
+    p.add_argument("--max-chains", type=int, default=1_000_000, metavar="N",
+                   help="refuse shapes with more than N chains, i.e. dim V > N (default 1000000)")
     _add_common(p)
 
     p = sub.add_parser("mult", help="multiplicity of a target in a tensor product")
@@ -211,10 +213,15 @@ def _cmd_roots(args):
 def _cmd_chains(args):
     if args.limit is not None and args.limit < 0:
         raise InputError(f"--limit must be nonnegative, got {args.limit}")
+    if args.max_chains < 0:
+        raise InputError(f"--max-chains must be nonnegative, got {args.max_chains}")
     R = build_root_system(args.type)
     shape = parse_weight(R, args.shape)
+    dim = weyl_dim(R, shape)  # the number of chains, known before any is enumerated
+    if dim > args.max_chains:
+        raise InputError(f"{R.label} shape {_wstr(shape)} has {dim} chains, "
+                         f"over --max-chains {args.max_chains}")
     chains = enumerate_ls_chains(R, shape)
-    dim = weyl_dim(R, shape)
     lines = [f"{R.label} shape {_wstr(shape)}: {len(chains)} chains (dim V = {dim})"]
     shown = chains if args.limit is None else chains[: args.limit]
     for c in shown:

@@ -19,7 +19,8 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 
-from .charoracle import tensor_decompose_oracle
+from . import charoracle, pathmodel, rootsys
+from .charoracle import tensor_decompose_oracle, weyl_dim
 from .errors import InputError
 from .pathmodel import tensor_decompose
 from .renorm import Renormalization, builtin, map_weight
@@ -27,7 +28,7 @@ from .rootsys import RootSystem, Weight, build_root_system, dominant_weight, dua
 
 __all__ = [
     "invariant_dim",
-    "clear_invariant_cache",
+    "clear_caches",
     "VerificationRow",
     "VerificationReport",
     "verify_inequality",
@@ -45,9 +46,20 @@ _ENGINES = ("chains", "oracle")
 _INV_MEMO: dict[tuple, int] = {}
 
 
-def clear_invariant_cache() -> None:
-    """Drop memoized invariant dimensions (tests re-run folds from scratch)."""
-    _INV_MEMO.clear()
+def clear_caches() -> None:
+    """Empty every memo store, so the next call of any engine runs cold.
+
+    The stores: chain enumerations, chain decompositions, the chain walker's
+    up lists, Weyl dimensions, weight-multiplicity tables, invariant
+    dimensions, and each root system's orbit posets with their down masks.
+    """
+    for store in (pathmodel._CHAIN_CACHE, pathmodel._DECOMP_CACHE, pathmodel._WALKER_CACHE,
+                  charoracle._DIM_CACHE, charoracle._TABLE_CACHE, _INV_MEMO):
+        store.clear()
+    for R in rootsys._SYSTEMS.values():
+        for poset in R._orbit_cache.values():
+            poset._down_masks.clear()
+        R._orbit_cache.clear()
 
 
 def _check_tuple(R: RootSystem, weights) -> tuple[Weight, ...]:
@@ -73,8 +85,12 @@ def _inv(R: RootSystem, ws: tuple[Weight, ...], engine: str) -> int:
     hit = _INV_MEMO.get(key)
     if hit is not None:
         return hit
-    comps = _pair_components(R, ws[0], ws[1], engine)
-    val = sum(m * _inv(R, (nu,) + ws[2:], engine) for nu, m in comps.items())
+    # the smallest factor is the chain shape, the largest the floor that prunes it
+    order = sorted(range(len(ws)), key=lambda i: (weyl_dim(R, ws[i]), ws[i]))
+    small, big = order[0], order[-1]
+    rest = tuple(w for i, w in enumerate(ws) if i not in (small, big))
+    comps = _pair_components(R, ws[small], ws[big], engine)
+    val = sum(m * _inv(R, (nu,) + rest, engine) for nu, m in comps.items())
     _INV_MEMO[key] = val
     return val
 

@@ -12,46 +12,35 @@ give the endpoint omega = delta_{l+1} and the depth, whose i-th fundamental
 coordinate is min_t of the i-th coordinate of delta_t.  Both are integral;
 non-integrality raises InvariantViolation.
 
-Every admissible cut b, written in lowest terms a/d, must have d dividing
-the pairing of each cover on some saturated chain, so d never exceeds the
-maximum cover pairing D of the orbit poset.  Enumeration therefore draws
-cuts from the Farey fractions of order D and is complete.  It runs on ints
-only: a cut is its index k in the sorted Farey table, whose entries hold
-the cut scaled by L = lcm(2..D) and its denominator; the scaled partial
-sums L * delta_t give each chain's endpoint and depth, integrality is a
-divisibility test by L, and each shape caches one packed tuple of
-(endpoint, depth) pairs for the counting rule.  LSChain objects, with
-Fraction cuts, are built from the cached enumeration only on request.
+A cut a/d in lowest terms has d dividing some cover pairing, so the cuts are
+the Farey fractions of order D, the largest pairing.  Enumeration runs on
+ints and walks upward: from the lowest step mu_0, each next step comes from
+the up lists (the transposes of OrbitPoset.down_mask) with a cut above the
+last one.  A cut is held as L * b, L = lcm(2..D), so L * delta_t is a running
+prefix sum and integrality a divisibility test by L.  The tensor rule counts
+chains with nu + delta_t dominant at every cut: the walk starts from L * nu
+and drops a prefix once a coordinate goes negative, so its cost follows the
+multiplicities, not dim V(mu).  Full enumeration is the same walk under a
+floor no partial sum reaches.  LSChain objects are built only on request.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from itertools import islice
 from math import gcd, lcm
-from operator import add
+from operator import add, floordiv, ge, itemgetter, mod
 from typing import NamedTuple
 
 from .errors import InputError, InvariantViolation
-from .rootsys import (
-    OrbitPoset,
-    RationalWeight,
-    RootSystem,
-    Weight,
-    dominant_weight,
-    weyl_orbit_poset,
-)
+from .rootsys import OrbitPoset, RationalWeight, RootSystem, Weight, dominant_weight, weyl_orbit_poset
 
 __all__ = [
-    "LSChain",
-    "TensorDecomposition",
-    "b_order_leq",
-    "enumerate_ls_chains",
-    "delta_sequence",
-    "chain_endpoint",
-    "chain_depth",
-    "tensor_multiplicity",
-    "tensor_decompose",
+    "LSChain", "TensorDecomposition", "b_order_leq", "enumerate_ls_chains", "delta_sequence",
+    "chain_endpoint", "chain_depth", "chain_weights", "tensor_multiplicity", "tensor_decompose",
     "chain_record",
 ]
 
@@ -78,8 +67,7 @@ def b_order_leq(P: OrbitPoset, x: Weight, y: Weight, b) -> bool:
     b = Q(b)
     if b <= 0 or b > 1:
         raise InputError(f"b must lie in (0, 1], got {b}")
-    xi = P.index.get(tuple(x))
-    yi = P.index.get(tuple(y))
+    xi, yi = P.index.get(tuple(x)), P.index.get(tuple(y))
     if xi is None or yi is None:
         raise InputError("both weights must lie in the orbit")
     return bool((P.down_mask(b.denominator)[yi] >> xi) & 1)
@@ -92,77 +80,88 @@ def _farey(maxden: int) -> tuple[int, list[tuple[int, int]]]:
                      for a in range(1, d) if gcd(a, d) == 1)
 
 
-class _ChainTable(NamedTuple):
-    """Every chain of one shape, in ints: a cut is an index into `cuts`."""
+class _Walker(NamedTuple):
+    """One shape in ints: a step is an orbit index, a cut an index into `cuts`."""
 
     poset: OrbitPoset
     scale: int  # L = lcm(2..D)
-    cuts: list[int]  # L * b for the sorted Farey cuts, then L * 1
-    chains: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (step indices, cut indices)
-    packed: tuple[tuple[Weight, Weight], ...]  # (endpoint, depth) per chain
+    cuts: list[int]  # L * b for the sorted Farey cuts
+    up: list[list[tuple[int, int, list[int]]]]  # per step x: (k, L * b_k, steps y >_b_k x)
 
 
-_CHAIN_CACHE: dict[tuple[str, Weight], _ChainTable] = {}
+_WALKER_CACHE: dict[tuple[str, Weight], _Walker] = {}
 
 
-def _chain_table(R: RootSystem, mu: Weight) -> _ChainTable:
-    """The chains of shape mu in canonical (steps, cuts) order.
+def _walker(R: RootSystem, mu: Weight) -> _Walker:
+    """mu's orbit poset with its up lists, the transposes of its down masks."""
+    walker = _WALKER_CACHE.get((R.label, mu))
+    if walker is None:
+        P = weyl_orbit_poset(R, mu)
+        L, farey = _farey(P.max_pairing)
+        above = {d: [[] for _ in P.elements] for _, d in farey}
+        for d, ups in above.items():
+            for y, mask in enumerate(P.down_mask(d)):
+                while mask:
+                    ups[(mask & -mask).bit_length() - 1].append(y)
+                    mask &= mask - 1
+        up = [[(k, c, above[d][x]) for k, (c, d) in enumerate(farey) if above[d][x]]
+              for x in range(len(P))]
+        walker = _WALKER_CACHE[(R.label, mu)] = _Walker(P, L, [c for c, _ in farey], up)
+    return walker
 
-    Works downward: every orbit element is a valid top step mu_l, and each
-    recursion prepends a lower first step y <_b x = mu_0 with a cut c below
-    the current first cut.  That moves every L * delta_t with t >= 1 by
-    c * (y - x) and adds L * delta_1 = c * y, so each chain carries its
-    scaled endpoint and the minimum of its scaled delta_t over t >= 1.
+
+def _walk(W: _Walker, nu: Weight) -> list[tuple[tuple, tuple, Weight, Weight]]:
+    """(step indices, cut indices, endpoint, depth) of each chain with nu + depth dominant.
+
+    L * (nu + delta_t) is linear in the cut c ending the step: once outside the
+    cone it stays out at every later cut, and once the endpoint is inside, every
+    cut is.  Each chain completed has its endpoint and depth checked integral.
     """
-    key = (R.label, mu)
-    table = _CHAIN_CACHE.get(key)
-    if table is not None:
-        return table
-    P = weyl_orbit_poset(R, mu)
-    L, farey = _farey(P.max_pairing)
-    cuts = [c for c, _ in farey] + [L]
-    masks = [P.down_mask(d) for _, d in farey]
-    below = [[(k, m[x]) for k, m in enumerate(masks) if m[x]] for x in range(len(P))]
+    P, L, _, up = W
     elements = P.elements
-    found = []
+    floor = tuple(-L * a for a in nu)
+    Ls = (L,) * (2 * len(nu))
+    out = []
 
-    def extend(x: int, bound: int, steps: tuple, ks: tuple, end: Weight, low: Weight):
-        found.append((steps, ks, end, low))
-        for k, mask in below[x]:
-            if k >= bound:
+    def walk(x: int, first: int, c0: int, steps: tuple, ks: tuple, s: tuple, low: tuple):
+        # x starts at scaled cut c0 with L * delta = s (low: its running min); next cut index >= first
+        w = elements[x]
+        end = tuple([a + (L - c0) * b for a, b in zip(s, w)])
+        inside = all(map(ge, end, floor))
+        if inside:
+            depth = tuple(map(min, low, end))
+            if any(map(mod, end + depth, Ls)):
+                raise InvariantViolation(f"chain {steps}, {ks} of {P.base} is not integral")
+            out.append((steps, ks, tuple(map(floordiv, end, Ls)), tuple(map(floordiv, depth, Ls))))
+        for k, c, ys in islice(up[x], bisect_left(up[x], first, key=itemgetter(0)), None):
+            dc = c - c0
+            s2 = tuple([a + dc * b for a, b in zip(s, w)])
+            if not inside and not all(map(ge, s2, floor)):
                 break
-            c = cuts[k]
-            while mask:
-                bit = mask & -mask
-                y = bit.bit_length() - 1
-                mask ^= bit
-                shift = tuple(c * (a - b) for a, b in zip(elements[y], elements[x]))
-                extend(y, k, (y,) + steps, (k,) + ks, tuple(map(add, end, shift)),
-                       tuple(map(min, map(add, low, shift), (c * a for a in elements[y]))))
+            low2 = tuple(map(min, low, s2))
+            for y in ys:
+                walk(y, k + 1, c, steps + (y,), ks + (k,), s2, low2)
 
-    for top, w in enumerate(elements):
-        end = tuple(L * a for a in w)
-        extend(top, len(farey), (top,), (), end, end)
-    found.sort()
-    packed = []
-    for steps, ks, end, low in found:
-        depth = tuple(min(0, m) for m in low)
-        if any(x % L for x in end + depth):
-            raise InvariantViolation(f"chain {steps}, {ks} of {mu} is not integral")
-        packed.append((tuple(x // L for x in end), tuple(x // L for x in depth)))
-    chains = tuple((steps, ks) for steps, ks, _, _ in found)
-    table = _CHAIN_CACHE[key] = _ChainTable(P, L, cuts, chains, tuple(packed))
-    return table
+    zero = (0,) * len(nu)
+    for x in range(len(elements)):
+        walk(x, 0, 0, (x,), (), zero, zero)
+    return out
+
+
+_CHAIN_CACHE: dict[tuple[str, Weight], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
 
 
 def enumerate_ls_chains(R: RootSystem, mu) -> tuple[LSChain, ...]:
     """All LS chains of shape mu, in canonical (steps, cuts) order."""
     mu = dominant_weight(R, mu)
-    P, L, cuts, chains, _ = _chain_table(R, mu)
-    return tuple(
-        LSChain(mu, tuple(P.elements[i] for i in steps), tuple(Q(cuts[k], L) for k in ks))
-        for steps, ks in chains
-    )
+    key, W = (R.label, mu), _walker(R, mu)
+    if key not in _CHAIN_CACHE:
+        # |delta_t| <= M in every coordinate, so the floor -L * M prunes nothing
+        M = max(abs(a) for w in W.poset.elements for a in w)
+        _CHAIN_CACHE[key] = [(steps, ks) for steps, ks, _, _ in sorted(_walk(W, (M,) * R.rank))]
+    elements, cuts = W.poset.elements, [Q(c, W.scale) for c in W.cuts]
+    return tuple(LSChain(mu, tuple(elements[i] for i in steps), tuple(cuts[k] for k in ks))
+                 for steps, ks in _CHAIN_CACHE[key])
 
 
 def delta_sequence(chain: LSChain) -> tuple[RationalWeight, ...]:
@@ -190,9 +189,14 @@ def chain_endpoint(chain: LSChain) -> Weight:
 
 def chain_depth(chain: LSChain) -> Weight:
     """Coordinatewise minimum of the delta sequence; integral by theory."""
+    return _integral(tuple(map(min, zip(*delta_sequence(chain)))), "chain depth")
+
+
+def chain_weights(chain: LSChain) -> tuple[Weight, Weight]:
+    """(chain_endpoint, chain_depth) from one delta_sequence."""
     deltas = delta_sequence(chain)
-    mins = tuple(min(d[i] for d in deltas) for i in range(len(chain.shape)))
-    return _integral(mins, "chain depth")
+    return (_integral(deltas[-1], "chain endpoint"),
+            _integral(tuple(map(min, zip(*deltas))), "chain depth"))
 
 
 _DECOMP_CACHE: dict[tuple[str, Weight, Weight], dict[Weight, int]] = {}
@@ -202,12 +206,8 @@ def _decompose_components(R: RootSystem, mu: Weight, nu: Weight) -> dict[Weight,
     key = (R.label, mu, nu)
     comps = _DECOMP_CACHE.get(key)
     if comps is None:
-        comps = {}
-        for end, depth in _chain_table(R, mu).packed:
-            if all(n + d >= 0 for n, d in zip(nu, depth)):
-                lam = tuple(n + w for n, w in zip(nu, end))
-                comps[lam] = comps.get(lam, 0) + 1
-        _DECOMP_CACHE[key] = comps
+        walked = _walk(_walker(R, mu), nu)
+        comps = _DECOMP_CACHE[key] = Counter(tuple(map(add, nu, end)) for _, _, end, _ in walked)
     return comps
 
 
@@ -235,16 +235,16 @@ def tensor_decompose(R: RootSystem, mu, nu) -> TensorDecomposition:
     """Full decomposition of V(mu) (x) V(nu) by the chain-counting rule."""
     mu = dominant_weight(R, mu, "shape weight")
     nu = dominant_weight(R, nu, "second factor")
-    comps = _decompose_components(R, mu, nu)
-    return TensorDecomposition(mu, nu, dict(sorted(comps.items())))
+    return TensorDecomposition(mu, nu, dict(sorted(_decompose_components(R, mu, nu).items())))
 
 
 def chain_record(chain: LSChain) -> dict:
     """JSON-ready record for one chain."""
+    omega, delta = chain_weights(chain)
     return {
         "shape": list(chain.shape),
         "steps": [list(s) for s in chain.steps],
         "cuts": [str(b) for b in chain.cuts],
-        "omega": list(chain_endpoint(chain)),
-        "delta": list(chain_depth(chain)),
+        "omega": list(omega),
+        "delta": list(delta),
     }

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction as Q
+from functools import cached_property
+from math import lcm
 
 from .errors import InputError, InvariantViolation
 from .pathmodel import LSChain, b_order_leq
@@ -60,6 +62,12 @@ class Renormalization:
 
     def phi_inv(self) -> Mat:
         return inverse(self.phi)
+
+    @cached_property
+    def _phi_int(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(den, rows) with phi = rows / den: int rows over the common denominator."""
+        den = lcm(*(Q(x).denominator for row in self.phi for x in row))
+        return den, tuple(tuple(int(x * den) for x in row) for row in self.phi)
 
     def root_match(self) -> tuple[int, ...]:
         """For each target positive root index, the matched source root index."""
@@ -228,10 +236,11 @@ def map_weight(rn: Renormalization, w) -> Weight:
         )
     if not _lattice_member(rn.source, rn.source_lattice, w):
         raise InputError(f"{w} lies outside the declared source lattice")
-    img = matvec(rn.phi, w)
-    if any(x.denominator != 1 for x in img):
-        raise InvariantViolation(f"phi({w}) = {img} is not an integral weight")
-    out = tuple(int(x) for x in img)
+    den, rows = rn._phi_int
+    img = tuple(sum(a * x for a, x in zip(row, w)) for row in rows)
+    if any(x % den for x in img):
+        raise InvariantViolation(f"phi({w}) = {matvec(rn.phi, w)} is not an integral weight")
+    out = tuple(x // den for x in img)
     if not _lattice_member(rn.target, rn.target_lattice, out):
         raise InvariantViolation(f"phi({w}) lies outside the declared target lattice")
     return out

@@ -212,6 +212,11 @@ class RootSystem:
         )
         self._sum_coroots = tuple(sum(r.coroot[i] for r in roots) for i in range(rank))
         self._orbit_cache: dict[Weight, "OrbitPoset"] = {}
+        # -w0 permutes the fundamental weights: dual(w)[j] = w[dual_index[j]]
+        self.dual_index = tuple(
+            self.dominant_rep(tuple(-int(i == j) for j in range(rank))).index(1)
+            for i in range(rank)
+        )
 
     def __repr__(self) -> str:
         return f"RootSystem({self.label})"
@@ -303,7 +308,7 @@ def dominant_weight(R: RootSystem, w, name: str = "weight") -> Weight:
 def dual_weight(R: RootSystem, w: Weight) -> Weight:
     """Highest weight of the dual representation: dominant rep of -w."""
     w = dominant_weight(R, w)
-    return R.dominant_rep(tuple(-x for x in w))
+    return tuple(w[i] for i in R.dual_index)
 
 
 def _orbit(R: RootSystem, base: Weight) -> list[Weight]:

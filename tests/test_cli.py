@@ -75,6 +75,33 @@ def test_chains_rejects_negative_limit(capsys):
     assert err.startswith("error:") and "--limit" in err
 
 
+def test_chains_refuses_shapes_over_the_budget_before_enumerating(capsys, monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("a shape over the budget was enumerated")
+
+    monkeypatch.setattr(cli, "enumerate_ls_chains", enumerate_nothing)
+    code, out, err = run(capsys, "chains", "E8", "1,1,1,1,1,1,1,1")  # weyl_dim about 1.3e36
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "over --max-chains 1000000" in err
+    code, out, err = run(capsys, "chains", "G2", "3,3", "--max-chains", "4095")
+    assert code == 1
+    assert err.startswith("error:") and "4096 chains" in err
+
+
+def test_chains_budget_admits_a_shape_at_the_limit(capsys):
+    code, doc, _ = run_json(capsys, "chains", "G2", "1,0", "--max-chains", "7")
+    assert code == 0
+    assert doc["count"] == 7
+
+
+def test_chains_rejects_negative_max_chains(capsys):
+    code, out, err = run(capsys, "chains", "A1", "2", "--max-chains", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--max-chains" in err
+
+
 def test_chains_json_counts(capsys):
     code, doc, _ = run_json(capsys, "chains", "G2", "1,0")
     assert code == 0

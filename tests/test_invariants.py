@@ -7,9 +7,11 @@ from dataclasses import replace
 
 import pytest
 
+from lschains import charoracle, invariants, pathmodel, rootsys
+from lschains.charoracle import weight_multiplicities, weyl_dim
 from lschains.errors import InputError
 from lschains.invariants import (
-    clear_invariant_cache,
+    clear_caches,
     dominant_pool,
     effective_workers,
     frobenius_check,
@@ -18,6 +20,7 @@ from lschains.invariants import (
     sweep_tuples,
     verify_inequality,
 )
+from lschains.pathmodel import enumerate_ls_chains, tensor_decompose
 from lschains.renorm import builtin, map_weight
 from lschains.rootsys import build_root_system, dual_weight
 
@@ -62,9 +65,28 @@ def test_permutation_invariance_without_cache_help():
     ws = [(2, 0), (1, 1), (0, 1), (1, 0)]
     values = set()
     for perm in itertools.permutations(ws):
-        clear_invariant_cache()
+        clear_caches()
         values.add(invariant_dim(R, perm))
     assert len(values) == 1
+
+
+def test_clear_caches_empties_every_store_and_results_hold_cold():
+    R = build_root_system("G2")
+    warm = tensor_decompose(R, (1, 1), (2, 0)).components
+    poset = rootsys.weyl_orbit_poset(R, (1, 1))
+    poset.down_mask(2)
+    enumerate_ls_chains(R, (1, 0))
+    weight_multiplicities(R, (1, 0))
+    weyl_dim(R, (2, 1))
+    invariant_dim(R, [(1, 0), (1, 0), (1, 0)])
+    stores = (pathmodel._CHAIN_CACHE, pathmodel._DECOMP_CACHE, pathmodel._WALKER_CACHE,
+              charoracle._DIM_CACHE, charoracle._TABLE_CACHE, invariants._INV_MEMO)
+    assert all(stores)
+    clear_caches()
+    assert not any(stores)
+    assert not poset._down_masks
+    assert not any(S._orbit_cache for S in rootsys._SYSTEMS.values())
+    assert tensor_decompose(R, (1, 1), (2, 0)).components == warm
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B2"])

@@ -7,7 +7,9 @@ against the library's enumeration.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction as Q
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from lschains.charoracle import tensor_decompose_oracle, weyl_dim
 from lschains.errors import InputError, InvariantViolation
 from lschains.pathmodel import (
     LSChain,
-    _chain_table,
+    _walk,
+    _walker,
     b_order_leq,
     chain_depth,
     chain_endpoint,
@@ -259,28 +262,36 @@ def test_every_chain_satisfies_definition(label, mu):
 
 @pytest.mark.parametrize("label,mu", [("G2", (3, 3)), ("B3", (1, 1, 1))])
 def test_packed_endpoint_and_depth_match_fraction_path(label, mu):
+    # nu = (100, ...) lies deep enough in the cone that the walk prunes nothing
     R = build_root_system(label)
-    table = _chain_table(R, mu)
+    W = _walker(R, mu)
+    walked = sorted(_walk(W, (100,) * R.rank))
     chains = enumerate_ls_chains(R, mu)
-    assert len(table.packed) == len(chains) == weyl_dim(R, mu)
-    for chain, packed in zip(chains, table.packed):
-        assert packed == (chain_endpoint(chain), chain_depth(chain))
+    assert len(walked) == len(chains) == weyl_dim(R, mu)
+    for chain, (steps, _, end, depth) in zip(chains, walked):
+        assert chain.steps == tuple(W.poset.elements[i] for i in steps)
+        assert (end, depth) == (chain_endpoint(chain), chain_depth(chain))
 
 
 def test_cut_scale_is_lcm_up_to_the_farey_order():
-    table = _chain_table(build_root_system("G2"), (3, 3))
-    assert table.poset.max_pairing == 15
-    assert table.scale == 360360
-    assert table.cuts[-1] == table.scale
-    assert table.cuts == sorted(table.cuts)
+    W = _walker(build_root_system("G2"), (3, 3))
+    assert W.poset.max_pairing == 15
+    assert W.scale == 360360
+    assert 0 < W.cuts[0] and W.cuts[-1] < W.scale
+    assert W.cuts == sorted(W.cuts)
 
 
 def test_non_integral_chain_raises(monkeypatch):
     # with L doubled, the scaled cut 1 reads b = 1/4, not 1/2: A1 (2,) gets depth -1/2
-    monkeypatch.setattr(pathmodel, "_CHAIN_CACHE", {})
+    for store in ("_WALKER_CACHE", "_CHAIN_CACHE", "_DECOMP_CACHE"):
+        monkeypatch.setattr(pathmodel, store, {})
     monkeypatch.setattr(pathmodel, "_farey", lambda maxden: (4, [(1, 2)]))
+    A1 = build_root_system("A1")
     with pytest.raises(InvariantViolation):
-        enumerate_ls_chains(build_root_system("A1"), (2,))
+        enumerate_ls_chains(A1, (2,))
+    # nu = (1,) keeps nu + delta_t dominant, so the chain is counted and checked
+    with pytest.raises(InvariantViolation):
+        tensor_decompose(A1, (2,), (1,))
 
 
 def test_dominant_initial_step_has_zero_depth():
@@ -369,6 +380,20 @@ SMALL_PAIRS = st.sampled_from(["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3"]).
     lambda label: st.tuples(st.just(label), st.sampled_from(_small_shapes(label)),
                             st.sampled_from(_small_shapes(label)))
 )
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3"])
+def test_pruned_decomposition_matches_filtered_full_enumeration(label):
+    # the counting rule applied after the fact to every chain of the shape
+    R = build_root_system(label)
+    shapes = _small_shapes(label)
+    for mu in shapes:
+        full = _walk(_walker(R, mu), (100,) * R.rank)
+        assert len(full) == weyl_dim(R, mu)
+        for nu in shapes:
+            kept = Counter(tuple(map(add, nu, end)) for _, _, end, depth in full
+                           if all(n + d >= 0 for n, d in zip(nu, depth)))
+            assert tensor_decompose(R, mu, nu).components == kept
 
 
 @given(SMALL_PAIRS)

@@ -1,5 +1,6 @@
 """Renormalization validation, weight/chain transport, and duality."""
 
+import itertools
 from dataclasses import replace
 from fractions import Fraction as Q
 
@@ -221,6 +222,28 @@ def test_map_weight_checks_rank():
 def test_map_weight_rejects_non_int_entries(w):
     with pytest.raises(InputError, match="not an integral weight"):
         map_weight(builtin("g2"), w)
+
+
+@pytest.mark.parametrize("spec", builtin_catalog())
+def test_map_weight_equals_the_fraction_matvec(spec):
+    rn = builtin(spec)
+    for w in itertools.product(range(-2, 3), repeat=rn.source.rank):
+        try:
+            got = map_weight(rn, w)
+        except InputError:  # outside the declared source lattice
+            continue
+        assert got == tuple(matvec(rn.phi, w))
+
+
+def test_map_weight_over_a_common_denominator():
+    rn = _rn("A2", ((Q(1, 2), Q(1, 2)), (Q(-1, 2), Q(3, 2))))
+    for w in itertools.product(range(-3, 4), repeat=2):
+        img = matvec(rn.phi, w)
+        if all(x.denominator == 1 for x in img):
+            assert map_weight(rn, w) == img
+        else:
+            with pytest.raises(InvariantViolation, match=r"is not an integral weight"):
+                map_weight(rn, w)
 
 
 def test_fractional_image_is_an_invariant_violation():

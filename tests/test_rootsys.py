@@ -374,6 +374,14 @@ def test_dual_weight_is_involution():
             assert dual_weight(R, dual_weight(R, w)) == w
 
 
+@pytest.mark.parametrize("label", ["A1", "A4", "B3", "C4", "D4", "D5", "E6", "E7", "E8", "F4", "G2"])
+def test_dual_weight_is_the_dominant_rep_of_the_negative(label):
+    R = build_root_system(label)
+    units = [tuple(int(i == j) for j in range(R.rank)) for i in range(R.rank)]
+    for w in units + [(1,) * R.rank, tuple(range(R.rank))]:
+        assert dual_weight(R, w) == R.dominant_rep(tuple(-x for x in w))
+
+
 def test_dual_weight_rejects_non_dominant():
     with pytest.raises(InputError):
         dual_weight(build_root_system("A2"), (-1, 0))
