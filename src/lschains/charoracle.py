@@ -1,6 +1,7 @@
 """Character-theoretic oracle, independent of the chain model.
 
-Dimensions come from the Weyl product formula, weight multiplicities from
+Dimensions come from the Weyl product formula (`rootsys.weyl_dim`, which
+the chain engine shares to pick its chain shape), weight multiplicities from
 the Freudenthal recursion, and tensor products from signed reflection of
 shifted weights into the dominant chamber (Brauer-Klimyk).  Everything is
 exact integer arithmetic: Freudenthal runs over the dominant weights only,
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation
 from .pathmodel import TensorDecomposition
-from .rootsys import RootSystem, Weight, dominant_weight, weyl_orbit
+from .rootsys import RootSystem, Weight, dominant_weight, memo, weyl_dim, weyl_orbit
 
 __all__ = [
     "weyl_dim",
@@ -21,27 +22,6 @@ __all__ = [
     "weight_multiplicities",
     "tensor_decompose_oracle",
 ]
-
-_DIM_CACHE: dict[tuple[str, Weight], int] = {}
-_TABLE_CACHE: dict[tuple[str, Weight], "WeightMultiplicityTable"] = {}
-
-
-def weyl_dim(R: RootSystem, lam) -> int:
-    """dim V(lam) = prod <lam+rho, a_v> / <rho, a_v> over positive roots."""
-    lam = dominant_weight(R, lam)
-    key = (R.label, lam)
-    if key not in _DIM_CACHE:
-        shifted = tuple(x + 1 for x in lam)
-        num = 1
-        den = 1
-        for r in R.positive_roots:
-            num *= sum(c * x for c, x in zip(r.coroot, shifted))
-            den *= sum(r.coroot)
-        dim, rem = divmod(num, den)
-        if rem:
-            raise InvariantViolation(f"non-integral Weyl dimension for {lam} in {R.label}")
-        _DIM_CACHE[key] = dim
-    return _DIM_CACHE[key]
 
 
 @dataclass
@@ -78,12 +58,11 @@ def _dominant_weights(R: RootSystem, lam: Weight) -> list[tuple[Weight, Weight]]
 
 def weight_multiplicities(R: RootSystem, lam) -> WeightMultiplicityTable:
     """Freudenthal recursion, extended over each Weyl orbit."""
-    lam = dominant_weight(R, lam)
-    key = (R.label, lam)
-    cached = _TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _weight_multiplicities(R, dominant_weight(R, lam))
 
+
+@memo
+def _weight_multiplicities(R: RootSystem, lam: Weight) -> WeightMultiplicityTable:
     mults: dict[Weight, int] = {lam: 1}
     for nu, n in _dominant_weights(R, lam)[1:]:
         total = 0
@@ -107,7 +86,6 @@ def weight_multiplicities(R: RootSystem, lam) -> WeightMultiplicityTable:
     table = WeightMultiplicityTable(lam, entries)
     if sum(entries.values()) != weyl_dim(R, lam):
         raise InvariantViolation(f"multiplicity table of {lam} in {R.label} misses dimension")
-    _TABLE_CACHE[key] = table
     return table
 
 

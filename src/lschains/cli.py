@@ -3,13 +3,15 @@
 Every subcommand prints an aligned text report by default and a versioned
 JSON document with --json; --out additionally writes whichever form was
 printed to a file.  Exit status: 0 success, 1 input error, 2 when a sweep
-finds violations or an internal invariant breaks.
+finds violations or an internal invariant breaks.  A reader that closes the
+pipe early (`| head`) cuts the report short without an error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction as Q
 
@@ -486,7 +488,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
         return 1
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the exit-time flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if out is not None:
         with out:
             out.write(text + "\n")

@@ -19,12 +19,12 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 
-from . import charoracle, pathmodel, rootsys
-from .charoracle import tensor_decompose_oracle, weyl_dim
+from .charoracle import tensor_decompose_oracle
 from .errors import InputError
 from .pathmodel import tensor_decompose
 from .renorm import Renormalization, builtin, map_weight
-from .rootsys import RootSystem, Weight, build_root_system, dominant_weight, dual_weight
+from .rootsys import (RootSystem, Weight, build_root_system, clear_caches, dominant_weight,
+                      dual_weight, memo, weyl_dim)
 
 __all__ = [
     "invariant_dim",
@@ -43,24 +43,6 @@ __all__ = [
 
 _ENGINES = ("chains", "oracle")
 
-_INV_MEMO: dict[tuple, int] = {}
-
-
-def clear_caches() -> None:
-    """Empty every memo store, so the next call of any engine runs cold.
-
-    The stores: chain enumerations, chain decompositions, the chain walker's
-    up lists, Weyl dimensions, weight-multiplicity tables, invariant
-    dimensions, and each root system's orbit posets with their down masks.
-    """
-    for store in (pathmodel._CHAIN_CACHE, pathmodel._DECOMP_CACHE, pathmodel._WALKER_CACHE,
-                  charoracle._DIM_CACHE, charoracle._TABLE_CACHE, _INV_MEMO):
-        store.clear()
-    for R in rootsys._SYSTEMS.values():
-        for poset in R._orbit_cache.values():
-            poset._down_masks.clear()
-        R._orbit_cache.clear()
-
 
 def _check_tuple(R: RootSystem, weights) -> tuple[Weight, ...]:
     out = tuple(dominant_weight(R, w) for w in weights)
@@ -75,31 +57,25 @@ def _pair_components(R: RootSystem, a: Weight, b: Weight, engine: str):
     return tensor_decompose_oracle(R, a, b).components
 
 
+@memo
 def _inv(R: RootSystem, ws: tuple[Weight, ...], engine: str) -> int:
+    """[ws] for a sorted tuple of dominant weights."""
     zero = (0,) * R.rank
     if len(ws) == 1:
         return 1 if ws[0] == zero else 0
     if len(ws) == 2:
         return 1 if ws[1] == dual_weight(R, ws[0]) else 0
-    key = (R.label, engine, tuple(sorted(ws)))
-    hit = _INV_MEMO.get(key)
-    if hit is not None:
-        return hit
     # the smallest factor is the chain shape, the largest the floor that prunes it
-    order = sorted(range(len(ws)), key=lambda i: (weyl_dim(R, ws[i]), ws[i]))
-    small, big = order[0], order[-1]
-    rest = tuple(w for i, w in enumerate(ws) if i not in (small, big))
-    comps = _pair_components(R, ws[small], ws[big], engine)
-    val = sum(m * _inv(R, (nu,) + rest, engine) for nu, m in comps.items())
-    _INV_MEMO[key] = val
-    return val
+    small, *rest, big = sorted(ws, key=lambda w: (weyl_dim(R, w), w))
+    comps = _pair_components(R, small, big, engine)
+    return sum(m * _inv(R, tuple(sorted((nu, *rest))), engine) for nu, m in comps.items())
 
 
 def invariant_dim(R: RootSystem, weights, engine: str = "chains") -> int:
     """Dimension of the invariant subspace of the n-fold tensor product."""
     if engine not in _ENGINES:
         raise InputError(f"engine must be one of {_ENGINES}")
-    return _inv(R, _check_tuple(R, weights), engine)
+    return _inv(R, tuple(sorted(_check_tuple(R, weights))), engine)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,11 @@ the Farey fractions of order D, the largest pairing.  Enumeration runs on
 ints and walks upward: from the lowest step mu_0, each next step comes from
 the up lists (the transposes of OrbitPoset.down_mask) with a cut above the
 last one.  A cut is held as L * b, L = lcm(2..D), so L * delta_t is a running
-prefix sum and integrality a divisibility test by L.  The tensor rule counts
-chains with nu + delta_t dominant at every cut: the walk starts from L * nu
-and drops a prefix once a coordinate goes negative, so its cost follows the
-multiplicities, not dim V(mu).  Full enumeration is the same walk under a
+prefix sum and integrality a divisibility test by L.  The tensor rule walks
+the factor of smaller dimension as the shape mu, and counts chains with
+nu + delta_t dominant at every cut, nu the other factor: the walk starts
+from L * nu and drops a prefix once a coordinate goes negative, so its cost
+follows the multiplicities, not dim V(mu).  Full enumeration is the same walk under a
 floor no partial sum reaches.  LSChain objects are built only on request.
 """
 
@@ -36,7 +37,8 @@ from operator import add, floordiv, ge, itemgetter, mod
 from typing import NamedTuple
 
 from .errors import InputError, InvariantViolation
-from .rootsys import OrbitPoset, RationalWeight, RootSystem, Weight, dominant_weight, weyl_orbit_poset
+from .rootsys import (OrbitPoset, RationalWeight, RootSystem, Weight, dominant_weight, memo,
+                      weyl_dim, weyl_orbit_poset)
 
 __all__ = [
     "LSChain", "TensorDecomposition", "b_order_leq", "enumerate_ls_chains", "delta_sequence",
@@ -89,25 +91,20 @@ class _Walker(NamedTuple):
     up: list[list[tuple[int, int, list[int]]]]  # per step x: (k, L * b_k, steps y >_b_k x)
 
 
-_WALKER_CACHE: dict[tuple[str, Weight], _Walker] = {}
-
-
+@memo
 def _walker(R: RootSystem, mu: Weight) -> _Walker:
     """mu's orbit poset with its up lists, the transposes of its down masks."""
-    walker = _WALKER_CACHE.get((R.label, mu))
-    if walker is None:
-        P = weyl_orbit_poset(R, mu)
-        L, farey = _farey(P.max_pairing)
-        above = {d: [[] for _ in P.elements] for _, d in farey}
-        for d, ups in above.items():
-            for y, mask in enumerate(P.down_mask(d)):
-                while mask:
-                    ups[(mask & -mask).bit_length() - 1].append(y)
-                    mask &= mask - 1
-        up = [[(k, c, above[d][x]) for k, (c, d) in enumerate(farey) if above[d][x]]
-              for x in range(len(P))]
-        walker = _WALKER_CACHE[(R.label, mu)] = _Walker(P, L, [c for c, _ in farey], up)
-    return walker
+    P = weyl_orbit_poset(R, mu)
+    L, farey = _farey(P.max_pairing)
+    above = {d: [[] for _ in P.elements] for _, d in farey}
+    for d, ups in above.items():
+        for y, mask in enumerate(P.down_mask(d)):
+            while mask:
+                ups[(mask & -mask).bit_length() - 1].append(y)
+                mask &= mask - 1
+    up = [[(k, c, above[d][x]) for k, (c, d) in enumerate(farey) if above[d][x]]
+          for x in range(len(P))]
+    return _Walker(P, L, [c for c, _ in farey], up)
 
 
 def _walk(W: _Walker, nu: Weight) -> list[tuple[tuple, tuple, Weight, Weight]]:
@@ -148,20 +145,22 @@ def _walk(W: _Walker, nu: Weight) -> list[tuple[tuple, tuple, Weight, Weight]]:
     return out
 
 
-_CHAIN_CACHE: dict[tuple[str, Weight], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+@memo
+def _chain_indices(R: RootSystem, mu: Weight) -> tuple[tuple[tuple, tuple], ...]:
+    """(step indices, cut indices) of every chain of shape mu, sorted."""
+    W = _walker(R, mu)
+    # |delta_t| <= M in every coordinate, so the floor -L * M prunes nothing
+    M = max(abs(a) for w in W.poset.elements for a in w)
+    return tuple((steps, ks) for steps, ks, _, _ in sorted(_walk(W, (M,) * R.rank)))
 
 
 def enumerate_ls_chains(R: RootSystem, mu) -> tuple[LSChain, ...]:
     """All LS chains of shape mu, in canonical (steps, cuts) order."""
     mu = dominant_weight(R, mu)
-    key, W = (R.label, mu), _walker(R, mu)
-    if key not in _CHAIN_CACHE:
-        # |delta_t| <= M in every coordinate, so the floor -L * M prunes nothing
-        M = max(abs(a) for w in W.poset.elements for a in w)
-        _CHAIN_CACHE[key] = [(steps, ks) for steps, ks, _, _ in sorted(_walk(W, (M,) * R.rank))]
+    W = _walker(R, mu)
     elements, cuts = W.poset.elements, [Q(c, W.scale) for c in W.cuts]
     return tuple(LSChain(mu, tuple(elements[i] for i in steps), tuple(cuts[k] for k in ks))
-                 for steps, ks in _CHAIN_CACHE[key])
+                 for steps, ks in _chain_indices(R, mu))
 
 
 def delta_sequence(chain: LSChain) -> tuple[RationalWeight, ...]:
@@ -199,16 +198,9 @@ def chain_weights(chain: LSChain) -> tuple[Weight, Weight]:
             _integral(tuple(map(min, zip(*deltas))), "chain depth"))
 
 
-_DECOMP_CACHE: dict[tuple[str, Weight, Weight], dict[Weight, int]] = {}
-
-
+@memo
 def _decompose_components(R: RootSystem, mu: Weight, nu: Weight) -> dict[Weight, int]:
-    key = (R.label, mu, nu)
-    comps = _DECOMP_CACHE.get(key)
-    if comps is None:
-        walked = _walk(_walker(R, mu), nu)
-        comps = _DECOMP_CACHE[key] = Counter(tuple(map(add, nu, end)) for _, _, end, _ in walked)
-    return comps
+    return Counter(tuple(map(add, nu, end)) for _, _, end, _ in _walk(_walker(R, mu), nu))
 
 
 @dataclass
@@ -224,18 +216,21 @@ class TensorDecomposition:
 
 
 def tensor_multiplicity(R: RootSystem, lam, mu, nu) -> int:
-    """Chains C of shape mu with nu + depth(C) dominant and nu + omega(C) = lam."""
+    """Multiplicity of V(lam) in V(mu) (x) V(nu), read off tensor_decompose."""
     lam = dominant_weight(R, lam, "target weight")
-    mu = dominant_weight(R, mu, "shape weight")
-    nu = dominant_weight(R, nu, "second factor")
-    return _decompose_components(R, mu, nu).get(lam, 0)
+    return tensor_decompose(R, mu, nu).multiplicity(lam)
 
 
 def tensor_decompose(R: RootSystem, mu, nu) -> TensorDecomposition:
-    """Full decomposition of V(mu) (x) V(nu) by the chain-counting rule."""
-    mu = dominant_weight(R, mu, "shape weight")
+    """Full decomposition of V(mu) (x) V(nu) by the chain-counting rule.
+
+    The chain shape is the factor of smaller (weyl_dim, weight), so both
+    orders walk the same chains; left and right keep the caller's order.
+    """
+    mu = dominant_weight(R, mu, "first factor")
     nu = dominant_weight(R, nu, "second factor")
-    return TensorDecomposition(mu, nu, dict(sorted(_decompose_components(R, mu, nu).items())))
+    shape, other = sorted((mu, nu), key=lambda w: (weyl_dim(R, w), w))
+    return TensorDecomposition(mu, nu, dict(sorted(_decompose_components(R, shape, other).items())))
 
 
 def chain_record(chain: LSChain) -> dict:

@@ -11,6 +11,7 @@ length 2.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -33,6 +34,7 @@ __all__ = [
     "pairing",
     "reflect",
     "weyl_orbit_poset",
+    "weyl_dim",
     "dominant_weight",
     "dual_weight",
     "weyl_orbit",
@@ -40,6 +42,26 @@ __all__ = [
     "weight_from_eps",
     "weight_to_eps",
 ]
+
+_MEMO_STORES: list = []
+
+
+def memo(fn):
+    """fn behind an unbounded functools.lru_cache, registered for clear_caches()."""
+    cached = functools.lru_cache(maxsize=None)(fn)
+    _MEMO_STORES.append(cached)
+    return cached
+
+
+def clear_caches() -> None:
+    """Empty every memo store, so the next call of any engine runs cold.
+
+    The stores are the functions behind `memo`.  Root systems are identity
+    singletons, not a memo, and stay.
+    """
+    for store in _MEMO_STORES:
+        store.cache_clear()
+
 
 _RANK_RANGE = {"A": (1, None), "B": (2, None), "C": (2, None), "D": (4, None),
                "E": (6, 8), "F": (4, 4), "G": (2, 2)}
@@ -211,7 +233,6 @@ class RootSystem:
             for row in range(self.ambient_dim)
         )
         self._sum_coroots = tuple(sum(r.coroot[i] for r in roots) for i in range(rank))
-        self._orbit_cache: dict[Weight, "OrbitPoset"] = {}
         # -w0 permutes the fundamental weights: dual(w)[j] = w[dual_index[j]]
         self.dual_index = tuple(
             self.dominant_rep(tuple(-int(i == j) for j in range(rank))).index(1)
@@ -379,34 +400,48 @@ class OrbitPoset:
         for c in covers:
             self._cover_children[c.upper].append(c)
         self._topo = order
-        self._down_masks: dict[int, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
 
+    @memo
     def down_mask(self, denom: int) -> list[int]:
         """Strictly-below reachability through covers whose m is divisible by denom."""
-        masks = self._down_masks.get(denom)
-        if masks is None:
-            masks = [0] * len(self.elements)
-            for v in self._topo:
-                acc = 0
-                for rel in self._cover_children[v]:
-                    if rel.m % denom == 0:
-                        acc |= (1 << rel.lower) | masks[rel.lower]
-                masks[v] = acc
-            self._down_masks[denom] = masks
+        masks = [0] * len(self.elements)
+        for v in self._topo:
+            acc = 0
+            for rel in self._cover_children[v]:
+                if rel.m % denom == 0:
+                    acc |= (1 << rel.lower) | masks[rel.lower]
+            masks[v] = acc
         return masks
+
+
+_orbit_poset = memo(OrbitPoset)
 
 
 def weyl_orbit_poset(R: RootSystem, mu) -> OrbitPoset:
     """Memoized orbit poset for a dominant integral weight."""
-    w = dominant_weight(R, mu)
-    poset = R._orbit_cache.get(w)
-    if poset is None:
-        poset = OrbitPoset(R, w)
-        R._orbit_cache[w] = poset
-    return poset
+    return _orbit_poset(R, dominant_weight(R, mu))
+
+
+def weyl_dim(R: RootSystem, lam) -> int:
+    """dim V(lam) = prod <lam+rho, a_v> / <rho, a_v> over positive roots."""
+    return _weyl_dim(R, dominant_weight(R, lam))
+
+
+@memo
+def _weyl_dim(R: RootSystem, lam: Weight) -> int:
+    shifted = tuple(x + 1 for x in lam)
+    num = 1
+    den = 1
+    for r in R.positive_roots:
+        num *= sum(c * x for c, x in zip(r.coroot, shifted))
+        den *= sum(r.coroot)
+    dim, rem = divmod(num, den)
+    if rem:
+        raise InvariantViolation(f"non-integral Weyl dimension for {lam} in {R.label}")
+    return dim
 
 
 def weyl_orbit(R: RootSystem, mu) -> tuple[Weight, ...]:

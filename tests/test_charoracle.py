@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lschains import charoracle
+from lschains import clear_caches
 from lschains.charoracle import (
     tensor_decompose_oracle,
     weight_multiplicities,
@@ -134,7 +134,7 @@ def test_e8_w1_table():
 
 def test_misscaled_form_trips_the_integrality_guard(monkeypatch):
     R = build_root_system("G2")
-    monkeypatch.setattr(charoracle, "_TABLE_CACHE", {})
+    clear_caches()
     monkeypatch.setattr(R, "simple_d", (3, 1))
     with pytest.raises(InvariantViolation, match=r"Freudenthal failure at \(0, 0\)"):
         weight_multiplicities(R, (1, 0))

@@ -1,6 +1,10 @@
 """Command line interface: output shapes, JSON contract, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +118,16 @@ def test_tensor_lists_components(capsys):
     assert code == 0
     assert "2 components" in out
     assert "total dim 20" in out
+
+
+def test_tensor_walks_the_smaller_factor_in_either_order(capsys):
+    # as the chain shape, 10**20 - 1 would need a Farey table of that order
+    n = 10**20 - 1
+    want = [{"weight": [n + k], "multiplicity": 1} for k in (-3, -1, 1, 3)]
+    for args in ((str(n), "3"), ("3", str(n))):
+        code, doc, _ = run_json(capsys, "tensor", "A1", *args)
+        assert code == 0
+        assert doc["components"] == want
 
 
 def test_eps_weight_syntax(capsys):
@@ -261,6 +275,19 @@ def test_out_to_unwritable_path_fails_before_printing(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error:") and str(path) in err
     assert not path.exists()
+
+
+def test_reader_closing_the_pipe_early_leaves_stderr_empty():
+    # 4096 chain lines overflow the pipe buffer, so the write fails once the reader is gone
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "lschains.cli", "chains", "G2", "3,3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"G2 shape 3,3: 4096 chains")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_help_exits_cleanly(capsys):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lschains import pathmodel
+from lschains import clear_caches, pathmodel
 from lschains.charoracle import tensor_decompose_oracle, weyl_dim
 from lschains.errors import InputError, InvariantViolation
 from lschains.pathmodel import (
@@ -283,15 +283,18 @@ def test_cut_scale_is_lcm_up_to_the_farey_order():
 
 def test_non_integral_chain_raises(monkeypatch):
     # with L doubled, the scaled cut 1 reads b = 1/4, not 1/2: A1 (2,) gets depth -1/2
-    for store in ("_WALKER_CACHE", "_CHAIN_CACHE", "_DECOMP_CACHE"):
-        monkeypatch.setattr(pathmodel, store, {})
+    clear_caches()
     monkeypatch.setattr(pathmodel, "_farey", lambda maxden: (4, [(1, 2)]))
     A1 = build_root_system("A1")
-    with pytest.raises(InvariantViolation):
-        enumerate_ls_chains(A1, (2,))
-    # nu = (1,) keeps nu + delta_t dominant, so the chain is counted and checked
-    with pytest.raises(InvariantViolation):
-        tensor_decompose(A1, (2,), (1,))
+    try:
+        with pytest.raises(InvariantViolation):
+            enumerate_ls_chains(A1, (2,))
+        # (2,) has the smaller dimension, so it is the shape; nu = (3,) keeps
+        # nu + delta_t dominant, so the chain is counted and checked
+        with pytest.raises(InvariantViolation):
+            tensor_decompose(A1, (2,), (3,))
+    finally:
+        clear_caches()  # drop the walker built under the mis-scaled _farey
 
 
 def test_dominant_initial_step_has_zero_depth():

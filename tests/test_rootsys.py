@@ -57,18 +57,19 @@ def _reflect_ambient(v, root):
 
 
 def closure_oracle(simple_ambient):
-    """All roots by reflecting the simples to a fixed point, ambient only."""
-    roots = {tuple(Q(x) for x in r) for r in simple_ambient}
-    while True:
-        new = set()
-        for r in roots:
-            for s in roots:
-                img = _reflect_ambient(r, s)
-                if img not in roots:
-                    new.add(img)
-        if not new:
-            return roots
-        roots |= new
+    """All roots, ambient only: the simples closed under the simple reflections.
+
+    Every root is W-conjugate to a simple root, and the simple reflections
+    generate W (s_{w a} = w s_a w^-1), so this is the closure of the simples
+    under reflection in every root.
+    """
+    simples = [tuple(Q(x) for x in r) for r in simple_ambient]
+    roots = set(simples)
+    frontier = roots
+    while frontier:
+        frontier = {_reflect_ambient(r, s) for r in frontier for s in simples} - roots
+        roots |= frontier
+    return roots
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
