@@ -144,7 +144,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="inequality sweep for a renormalization")
     p.add_argument("spec")
     p.add_argument("--n", type=int, default=3, help="tuple size (default 3)")
-    p.add_argument("--bound", type=int, default=2, help="pool bound (default 2)")
+    p.add_argument("--bound", type=int, default=None,
+                   help="pool bound (default 2; f4 without it pools 0, w3, w4)")
     p.add_argument("--pool", choices=("coords", "height"), default="coords",
                    help="pool mode: per-coordinate bound or coordinate-sum bound")
     p.add_argument("--weights", nargs="*", default=None,
@@ -366,12 +367,12 @@ def _cmd_verify(args):
     rn = builtin(args.spec)
     if args.weights is not None:
         pool = tuple(parse_weight(rn.source, w) for w in args.weights)
-    elif args.spec.split(":")[0] == "f4":
+    elif args.bound is None and args.spec.split(":")[0] == "f4":
         # F4 orbits are big: default to the zero weight and the two smallest
         # fundamentals rather than a coordinate box
         pool = ((0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     else:
-        pool = dominant_pool(rn.source, args.bound, args.pool)
+        pool = dominant_pool(rn.source, 2 if args.bound is None else args.bound, args.pool)
     rep = verify_inequality(rn, sweep_tuples(pool, args.n), args.engine, args.workers)
     payload = {"pool_size": len(pool), **rep.as_dict()}
     return payload, _report_lines(rep, args.full), not rep.ok

@@ -26,8 +26,8 @@ from math import lcm
 
 from .errors import InputError, InvariantViolation
 from .pathmodel import LSChain, b_order_leq
-from .ratmat import Mat, identity, inverse, mat, matmul, matvec
-from .rootsys import RootSystem, Weight, build_root_system, weyl_orbit_poset
+from .ratmat import Mat, inverse, mat, matmul, matvec, transpose
+from .rootsys import Root, RootSystem, Weight, build_root_system, weyl_orbit_poset
 
 __all__ = [
     "Renormalization",
@@ -285,77 +285,45 @@ def special_exponents(rn: Renormalization) -> tuple[int, tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # duality: from (phi, c) to (phi^{-1}, c') between the dual root systems
 
-_DUAL_SERIES = {"A": "A", "B": "C", "C": "B", "D": "D", "E": "E", "F": "F", "G": "G"}
+_DUAL_SERIES = {"B": "C", "C": "B"}
 
 
-def _coroot_to_std(R: RootSystem) -> tuple[str, Mat]:
-    """Ambient map K with K({coroots of R}) = standard roots of the dual type.
+def _coroot_images(R: RootSystem) -> tuple[RootSystem, tuple[Root, ...]]:
+    """The dual type of R and, per positive root of R, the dual root of its coroot.
 
-    Coroots are taken with the plain Bourbaki dot product, under which the
-    B/C tables are mutually dual and A/D/E are self-dual, so K is the
-    identity there.  F4 and G2 need an explicit rational similitude; both
-    were chosen to carry simple coroots to simple roots.
+    Root.coroot holds a coroot's coefficients over the simple coroots.  Simple
+    coroot i is simple root i of the dual type, except that F4 and G2 number
+    their nodes the other way round, so there the coefficients are reversed.
     """
-    dual_label = f"{_DUAL_SERIES[R.series]}{R.rank}"
-    if R.series == "F":
-        h = Q(1, 2)
-        k = ((h, h, 0, 0), (h, -h, 0, 0), (0, 0, h, h), (0, 0, h, -h))
-        return dual_label, mat(k)
-    if R.series == "G":
-        # K(a1) = a2, K(a2) = 3*a1, K fixes (1,1,1)
-        b_cols = ((Q(1), Q(-1), Q(0)), (Q(-2), Q(1), Q(1)), (Q(1), Q(1), Q(1)))
-        img_cols = ((Q(-2), Q(1), Q(1)), (Q(3), Q(-3), Q(0)), (Q(1), Q(1), Q(1)))
-        B = tuple(tuple(b_cols[j][i] for j in range(3)) for i in range(3))
-        M = tuple(tuple(img_cols[j][i] for j in range(3)) for i in range(3))
-        return dual_label, matmul(M, inverse(B))
-    return dual_label, identity(R.ambient_dim)
-
-
-def _coroot_ambient(R: RootSystem, idx: int) -> tuple[Q, ...]:
-    a = R.positive_roots[idx].ambient
-    norm = sum(x * x for x in a)
-    return tuple(2 * x / norm for x in a)
+    dual = build_root_system(f"{_DUAL_SERIES.get(R.series, R.series)}{R.rank}")
+    by_coeffs = {r.coeffs: r for r in dual.positive_roots}
+    images = []
+    for r in R.positive_roots:
+        img = by_coeffs.get(r.coroot[::-1] if R.series in ("F", "G") else r.coroot)
+        if img is None:
+            raise InvariantViolation("dual coroot image is not a standard root")
+        images.append(img)
+    return dual, tuple(images)
 
 
 def dual_renormalization(rn: Renormalization) -> Renormalization:
     """The induced renormalization between the dual root systems.
 
     The transpose of phi carries the coroot of a target root alpha to
-    c(alpha) times the coroot of the matched source root, which pins the
-    dual map down on the simple coroots; the matched coroot inherits
-    c(alpha).  Both dual systems are materialized in standard coordinates.
+    c(alpha) times the coroot of the matched source root alpha'.  Each coroot
+    is read as a root of the dual type through its coefficients over the
+    simple coroots (in reversed node order for F4 and G2).  The dual map
+    carries the image of the simple coroot alpha_i_v to c(alpha_i) times the
+    image of alpha'_i_v, and the image of alpha'_v inherits c(alpha).
     """
     match = rn.root_match()
-    src_label, K_t = _coroot_to_std(rn.target)
-    tgt_label, K_s = _coroot_to_std(rn.source)
-    new_source = build_root_system(src_label)
-    new_target = build_root_system(tgt_label)
-
-    u_cols = []
-    v_cols = []
-    for i in range(rn.target.rank):
-        u = new_source.from_ambient(matvec(K_t, _coroot_ambient(rn.target, i)))
-        v = new_target.from_ambient(
-            tuple(rn.c[i] * x for x in matvec(K_s, _coroot_ambient(rn.source, match[i])))
-        )
-        u_cols.append(u)
-        v_cols.append(v)
+    new_source, target_images = _coroot_images(rn.target)
+    new_target, source_images = _coroot_images(rn.source)
     n = rn.target.rank
-    U = tuple(tuple(u_cols[j][i] for j in range(n)) for i in range(n))
-    V = tuple(tuple(v_cols[j][i] for j in range(n)) for i in range(n))
+    U = transpose(mat(target_images[j].fund for j in range(n)))
+    V = transpose(mat([rn.c[j] * x for x in source_images[match[j]].fund] for j in range(n)))
     psi = matmul(V, inverse(U))
-
-    cmap: dict[int, int] = {}
-    for i in range(len(rn.target.positive_roots)):
-        co = _coroot_ambient(rn.source, match[i])
-        z = matvec(K_s, co)
-        f = new_target.from_ambient(z)
-        if any(x.denominator != 1 for x in f):
-            raise InvariantViolation("dual coroot image is not integral")
-        idx = new_target.root_by_fund.get(tuple(int(x) for x in f))
-        if idx is None:
-            raise InvariantViolation("dual coroot image is not a standard root")
-        cmap[idx] = rn.c[i]
+    cmap = {source_images[match[i]].index: c for i, c in enumerate(rn.c)}
     if len(cmap) != len(new_target.positive_roots):
         raise InvariantViolation("dual coroot images do not exhaust the positive roots")
     cprime = tuple(cmap[i] for i in range(len(new_target.positive_roots)))

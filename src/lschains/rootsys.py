@@ -232,7 +232,6 @@ class RootSystem:
             )
             for row in range(self.ambient_dim)
         )
-        self._sum_coroots = tuple(sum(r.coroot[i] for r in roots) for i in range(rank))
         # -w0 permutes the fundamental weights: dual(w)[j] = w[dual_index[j]]
         self.dual_index = tuple(
             self.dominant_rep(tuple(-int(i == j) for j in range(rank))).index(1)
@@ -275,10 +274,6 @@ class RootSystem:
         for a in self.simple_roots:
             out.append(Q(2) * _dot(vec, a) / _dot(a, a))
         return tuple(out)
-
-    def height_functional(self, w) -> int:
-        """Integer functional strictly increasing along the Bruhat order."""
-        return sum(c * x for c, x in zip(self._sum_coroots, w))
 
 
 _SYSTEMS: dict[str, RootSystem] = {}
@@ -332,83 +327,75 @@ def dual_weight(R: RootSystem, w: Weight) -> Weight:
     return tuple(w[i] for i in R.dual_index)
 
 
-def _orbit(R: RootSystem, base: Weight) -> list[Weight]:
-    """Weyl orbit of a dominant weight, level by level from base, each level sorted."""
-    elements = [base]
+def _orbit(R: RootSystem, base: Weight) -> list[list[Weight]]:
+    """Weyl orbit of a dominant weight as BFS levels from base, each level sorted.
+
+    The level of w is its length l(w) = #{alpha > 0 : <w, alpha_v> < 0}: a
+    simple reflection with w[i] > 0 adds exactly one such root.  The last
+    level is empty.
+    """
+    levels = [[base]]
     seen = {base}
-    frontier = [base]
-    while frontier:
+    while levels[-1]:
         nxt = set()
-        for w in frontier:
+        for w in levels[-1]:
             for i in range(R.rank):
                 if w[i] > 0:
                     child = R.reflect_root(w, i)
                     if child not in seen:
                         nxt.add(child)
-        frontier = sorted(nxt)
-        seen.update(frontier)
-        elements.extend(frontier)
-    return elements
+        seen.update(nxt)
+        levels.append(sorted(nxt))
+    return levels
 
 
 class OrbitPoset:
     """Weyl orbit of a dominant weight under the orbit Bruhat order.
 
-    elements[0] is the dominant weight (the unique maximum).  covers hold
-    labeled relations sigma_alpha(nu) < nu that admit no intermediate orbit
-    element; cover pairings m = <upper, alpha_v> are positive integers.
+    elements[0] is the dominant weight (the unique maximum); the rest follow
+    level by level, by their length l(w) = #{alpha > 0 : <w, alpha_v> < 0}.
+    The order is graded by l (Bjorner-Brenti, Combinatorics of Coxeter
+    Groups, Thm 2.5.5), so a reflection relation sigma_alpha(nu) < nu with
+    m = <nu, alpha_v> > 0 is a cover iff l(sigma_alpha(nu)) = l(nu) + 1.
+    covers hold those relations, labeled by the root and the positive
+    integer m.
     """
 
     def __init__(self, R: RootSystem, base: Weight):
         self.system = R
         self.base = base
-        elements = self.elements = tuple(_orbit(R, base))
+        levels = _orbit(R, base)
+        elements = self.elements = tuple(w for level in levels for w in level)
         index = self.index = {w: i for i, w in enumerate(elements)}
+        length = [k for k, level in enumerate(levels) for _ in level]
 
-        n = len(elements)
-        relations: list[Cover] = []
+        covers: list[Cover] = []
         for up, w in enumerate(elements):
             for r in R.positive_roots:
                 m = sum(c * x for c, x in zip(r.coroot, w))
                 if m > 0:
                     low = index[tuple(x - m * a for x, a in zip(w, r.fund))]
-                    relations.append(Cover(low, up, r.index, m))
-
-        order = sorted(range(n), key=lambda i: R.height_functional(elements[i]))
-        children: list[list[Cover]] = [[] for _ in range(n)]
-        for rel in relations:
-            children[rel.upper].append(rel)
-        reach = [0] * n  # bitmask of elements strictly below
-        for v in order:
-            acc = 0
-            for rel in children[v]:
-                acc |= (1 << rel.lower) | reach[rel.lower]
-            reach[v] = acc
-        self._reach_all = reach
-
-        covers = []
-        for rel in relations:
-            if not any(
-                other.lower != rel.lower and (reach[other.lower] >> rel.lower) & 1
-                for other in children[rel.upper]
-            ):
-                covers.append(rel)
+                    if length[low] == length[up] + 1:
+                        covers.append(Cover(low, up, r.index, m))
         covers.sort()
         self.covers: tuple[Cover, ...] = tuple(covers)
         self.max_pairing = max((c.m for c in covers), default=0)
-        self._cover_children: list[list[Cover]] = [[] for _ in range(n)]
+        self._cover_children: list[list[Cover]] = [[] for _ in elements]
         for c in covers:
             self._cover_children[c.upper].append(c)
-        self._topo = order
 
     def __len__(self) -> int:
         return len(self.elements)
 
     @memo
     def down_mask(self, denom: int) -> list[int]:
-        """Strictly-below reachability through covers whose m is divisible by denom."""
+        """Strictly-below reachability through covers whose m is divisible by denom.
+
+        Lower elements sit at higher indices, so a reverse walk meets every
+        element after all of those below it.
+        """
         masks = [0] * len(self.elements)
-        for v in self._topo:
+        for v in reversed(range(len(masks))):
             acc = 0
             for rel in self._cover_children[v]:
                 if rel.m % denom == 0:
@@ -446,7 +433,7 @@ def _weyl_dim(R: RootSystem, lam: Weight) -> int:
 
 def weyl_orbit(R: RootSystem, mu) -> tuple[Weight, ...]:
     """The Weyl orbit of a dominant weight, without any order structure."""
-    return tuple(sorted(_orbit(R, dominant_weight(R, mu))))
+    return tuple(sorted(w for level in _orbit(R, dominant_weight(R, mu)) for w in level))
 
 
 _EXCEPTIONAL_WEYL = {"E6": 51840, "E7": 2903040, "E8": 696729600, "F4": 1152, "G2": 12}

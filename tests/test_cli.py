@@ -202,6 +202,20 @@ def test_verify_explicit_weights(capsys):
     assert doc["tuples"] == 3
 
 
+def test_verify_f4_honours_an_explicit_bound(capsys):
+    code, doc, _ = run_json(capsys, "verify", "f4", "--bound", "0")
+    assert code == 0
+    assert (doc["pool_size"], doc["tuples"]) == (1, 1)
+    # without --bound or --weights, f4 keeps its small pool {0, w3, w4}
+    code, doc, _ = run_json(capsys, "verify", "f4", "--n", "2")
+    assert (doc["pool_size"], doc["tuples"]) == (3, 6)
+
+
+def test_verify_bound_defaults_to_two(capsys):
+    code, doc, _ = run_json(capsys, "verify", "trivial:A1", "--n", "2")
+    assert doc["pool_size"] == 3
+
+
 def test_verify_exit_code_on_violation(capsys, monkeypatch):
     row = VerificationRow(((1, 0),), ((1, 0),), lhs=2, rhs=1)
     fake = VerificationReport("trivial:A2", "chains", (row,))

@@ -335,6 +335,27 @@ def test_dual_of_frobenius_lives_on_the_dual_type():
     assert again.source.label == "B2" and again.phi == rn.phi
 
 
+@pytest.mark.parametrize("name", builtin_catalog() + (
+    "trivial:G2:2", "frobenius:F4:2", "frobenius:C3:3", "so_to_sp:4", "sp_to_spin:4",
+))
+def test_dual_of_the_dual_is_the_original(name):
+    rn = builtin(name)
+    again = dual_renormalization(dual_renormalization(rn))
+    assert (again.source, again.target, again.phi, again.c) == (rn.source, rn.target, rn.phi, rn.c)
+
+
+@pytest.mark.parametrize("label,dual_label", [
+    ("A3", "A3"), ("B3", "C3"), ("C3", "B3"), ("D4", "D4"), ("E6", "E6"), ("F4", "F4"),
+    ("G2", "G2"),
+])
+def test_dual_of_the_identity_is_the_identity(label, dual_label):
+    # pins the node order of the coroot images without the special maps
+    dual = dual_renormalization(builtin(f"trivial:{label}"))
+    assert dual.source.label == dual.target.label == dual_label
+    assert dual.phi == identity(dual.source.rank)
+    assert set(dual.c) == {1}
+
+
 def test_special_compositions_scale_by_the_prime():
     # the two B/C maps compose to multiplication by 2, either way around
     double = tuple(tuple(Q(2) if i == j else Q(0) for j in range(2)) for i in range(2))
