@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .charoracle import tensor_decompose_oracle, weyl_dim
 from .errors import InputError
@@ -45,10 +46,6 @@ class CriterionResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status}  {self.name:20s} {self.seconds:7.2f}s  {self.detail}"
-
-
-def _zero(R):
-    return (0,) * R.rank
 
 
 def _oracle_equivalence(bound, engine, workers):
@@ -95,7 +92,7 @@ def _ls_chain_sanity(bound, engine, workers):
     return True, f"A1 counts m=0..{bound} and integrality of {checked} chains"
 
 
-def _sweep_criterion(spec, bound, engine, workers, mode):
+def _sweep_criterion(spec, mode, bound, engine, workers):
     rn = builtin(spec)
     pool = dominant_pool(rn.source, bound, mode)
     rep = verify_inequality(rn, sweep_tuples(pool, 3), engine, workers)
@@ -110,22 +107,9 @@ def _sweep_criterion(spec, bound, engine, workers, mode):
     return rep.ok, detail
 
 
-def _so_to_sp(bound, engine, workers):
-    return _sweep_criterion("so_to_sp:2", bound, engine, workers, "height")
-
-
-def _spin_to_sp(bound, engine, workers):
-    return _sweep_criterion("sp_to_spin:2", bound, engine, workers, "height")
-
-
-def _g2_self(bound, engine, workers):
-    return _sweep_criterion("g2", bound, engine, workers, "coords")
-
-
 def _f4_self(bound, engine, workers):
     rn = builtin("f4")
-    R = rn.source
-    pool = [_zero(R)]
+    pool = [(0, 0, 0, 0)]
     if bound >= 1:
         pool.append((0, 0, 0, 1))
     if bound >= 2:
@@ -201,9 +185,9 @@ def _renorm_validate(bound, engine, workers):
 CRITERIA: dict[str, tuple] = {
     "oracle-equivalence": (_oracle_equivalence, 2),
     "ls-chain-sanity": (_ls_chain_sanity, 6),
-    "so-to-sp": (_so_to_sp, 2),
-    "spin-to-sp": (_spin_to_sp, 2),
-    "g2-self": (_g2_self, 2),
+    "so-to-sp": (partial(_sweep_criterion, "so_to_sp:2", "height"), 2),
+    "spin-to-sp": (partial(_sweep_criterion, "sp_to_spin:2", "height"), 2),
+    "g2-self": (partial(_sweep_criterion, "g2", "coords"), 2),
     "f4-self": (_f4_self, 2),
     "chain-transport": (_chain_transport, 2),
     "frobenius-scaling": (_frobenius_scaling, 2),

@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction as Q
 
-from .acceptance import CRITERIA, run_all, run_criterion
+from .acceptance import CRITERIA, run_criterion
 from .charoracle import tensor_decompose_oracle, weyl_dim
 from .errors import InputError, InvariantViolation
 from .invariants import (
@@ -87,6 +87,20 @@ def _add_workers(p):
                    help="parallel workers for the sweep (capped by the CPU count and LSCHAINS_MAX_WORKERS)")
 
 
+def _add_sweep(p):
+    """The options shared by verify and frobenius, which run the same sweep."""
+    p.add_argument("--n", type=int, default=3, help="tuple size (default 3)")
+    p.add_argument("--bound", type=int, default=None,
+                   help="pool bound (default 2; for f4 without --bound, --pool and "
+                        "--weights the pool is 0, w3, w4)")
+    p.add_argument("--pool", choices=("coords", "height"), default=None,
+                   help="pool mode: per-coordinate bound (default) or coordinate-sum bound")
+    p.add_argument("--full", action="store_true", help="print every row, not a summary")
+    _add_engine(p)
+    _add_workers(p)
+    _add_common(p)
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="lschains",
                   description="Tensor and invariant multiplicities via chains of "
@@ -143,28 +157,15 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="inequality sweep for a renormalization")
     p.add_argument("spec")
-    p.add_argument("--n", type=int, default=3, help="tuple size (default 3)")
-    p.add_argument("--bound", type=int, default=None,
-                   help="pool bound (default 2; f4 without it pools 0, w3, w4)")
-    p.add_argument("--pool", choices=("coords", "height"), default="coords",
-                   help="pool mode: per-coordinate bound or coordinate-sum bound")
     p.add_argument("--weights", nargs="*", default=None,
                    help="explicit pool of source weights (overrides --bound/--pool)")
-    p.add_argument("--full", action="store_true", help="print every row, not a summary")
-    _add_engine(p)
-    _add_workers(p)
-    _add_common(p)
+    _add_sweep(p)
 
-    p = sub.add_parser("frobenius", help="scaling-inequality sweep at a prime")
+    p = sub.add_parser("frobenius", help="scaling-inequality sweep at a prime: "
+                                         "verify frobenius:TYPE:P")
     p.add_argument("type")
     p.add_argument("p", type=int)
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--bound", type=int, default=2)
-    p.add_argument("--pool", choices=("coords", "height"), default="coords")
-    p.add_argument("--full", action="store_true")
-    _add_engine(p)
-    _add_workers(p)
-    _add_common(p)
+    _add_sweep(p)
 
     p = sub.add_parser("saturation", help="spin-side vs symplectic-side membership scan")
     p.add_argument("--rank", type=int, default=2)
@@ -227,8 +228,8 @@ def _cmd_chains(args):
     chains = enumerate_ls_chains(R, shape)
     lines = [f"{R.label} shape {_wstr(shape)}: {len(chains)} chains (dim V = {dim})"]
     shown = chains if args.limit is None else chains[: args.limit]
-    for c in shown:
-        rec = chain_record(c)
+    records = [chain_record(c) for c in shown]
+    for rec in records:
         steps = " > ".join(_wstr(s) for s in reversed(rec["steps"]))
         cuts = ",".join(rec["cuts"]) or "-"
         lines.append(f"  steps {steps}  cuts {cuts}  endpoint {_wstr(rec['omega'])} "
@@ -240,7 +241,7 @@ def _cmd_chains(args):
         "shape": list(shape),
         "count": len(chains),
         "dimension": dim,
-        "chains": [chain_record(c) for c in shown],
+        "chains": records,
     }
     return payload, lines, False
 
@@ -367,24 +368,21 @@ def _cmd_verify(args):
     rn = builtin(args.spec)
     if args.weights is not None:
         pool = tuple(parse_weight(rn.source, w) for w in args.weights)
-    elif args.bound is None and args.spec.split(":")[0] == "f4":
+    elif args.bound is None and args.pool is None and args.spec.split(":")[0] == "f4":
         # F4 orbits are big: default to the zero weight and the two smallest
         # fundamentals rather than a coordinate box
         pool = ((0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     else:
-        pool = dominant_pool(rn.source, 2 if args.bound is None else args.bound, args.pool)
+        pool = dominant_pool(rn.source, 2 if args.bound is None else args.bound,
+                             args.pool or "coords")
     rep = verify_inequality(rn, sweep_tuples(pool, args.n), args.engine, args.workers)
     payload = {"pool_size": len(pool), **rep.as_dict()}
     return payload, _report_lines(rep, args.full), not rep.ok
 
 
 def _cmd_frobenius(args):
-    R = build_root_system(args.type)
-    pool = dominant_pool(R, args.bound, args.pool)
-    rn = builtin(f"frobenius:{args.type}:{args.p}")
-    rep = verify_inequality(rn, sweep_tuples(pool, args.n), args.engine, args.workers)
-    payload = {"pool_size": len(pool), **rep.as_dict()}
-    return payload, _report_lines(rep, args.full), not rep.ok
+    args.spec, args.weights = f"frobenius:{args.type}:{args.p}", None
+    return _cmd_verify(args)
 
 
 def _cmd_saturation(args):
@@ -419,19 +417,11 @@ def _cmd_accept(args):
             config[name] = int(value)
         except ValueError:
             raise InputError(f"--bound value in {item!r} is not an integer")
-    if args.criterion:
-        for name in args.criterion:
-            if name not in CRITERIA:
-                raise InputError(f"unknown criterion {name!r}; known: {', '.join(CRITERIA)}")
-        for name in config:
-            if name not in CRITERIA:
-                raise InputError(f"unknown criterion {name!r}; known: {', '.join(CRITERIA)}")
-        results = tuple(
-            run_criterion(n, config.get(n), args.engine, args.workers)
-            for n in args.criterion
-        )
-    else:
-        results = run_all(config, args.engine, args.workers)
+    names = args.criterion or list(CRITERIA)
+    for name in [*names, *config]:
+        if name not in CRITERIA:
+            raise InputError(f"unknown criterion {name!r}; known: {', '.join(CRITERIA)}")
+    results = tuple(run_criterion(n, config.get(n), args.engine, args.workers) for n in names)
     lines = [r.line() for r in results]
     failed = [r for r in results if not r.passed]
     lines.append(f"{len(results) - len(failed)}/{len(results)} criteria passed")
@@ -461,17 +451,11 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        payload, lines, violated = _HANDLERS[args.command](args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        payload, lines, violated = _HANDLERS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,8 +23,8 @@ from .charoracle import tensor_decompose_oracle
 from .errors import InputError
 from .pathmodel import tensor_decompose
 from .renorm import Renormalization, builtin, map_weight
-from .rootsys import (RootSystem, Weight, build_root_system, clear_caches, dominant_weight,
-                      dual_weight, memo, weyl_dim)
+from .rootsys import (RootSystem, Weight, clear_caches, dominant_weight, dual_weight, memo,
+                      weyl_dim)
 
 __all__ = [
     "invariant_dim",
@@ -307,22 +307,15 @@ class SaturationReport:
         }
 
 
-def _saturation_row(spin: RootSystem, sp: RootSystem, ws, engine: str) -> SaturationRow:
-    spin_value = invariant_dim(spin, ws, engine)
-    integral = all(
-        x.denominator == 1 for w in ws for x in spin.to_ambient(w)
-    )
+def _saturation_row(rn: Renormalization, ws, engine: str) -> SaturationRow:
+    """One row of the scan; rn is sp_to_spin, the doubling of ambient coordinates."""
+    spin_value = invariant_dim(rn.source, ws, engine)
+    doubled = tuple(map_weight(rn, w) for w in ws)
     sp_value = None
-    if integral:
-        same = tuple(
-            tuple(int(x) for x in sp.from_ambient(spin.to_ambient(w))) for w in ws
-        )
-        sp_value = invariant_dim(sp, same, engine)
-    doubled = tuple(
-        tuple(int(x) for x in sp.from_ambient(tuple(2 * x for x in spin.to_ambient(w))))
-        for w in ws
-    )
-    sp_doubled = invariant_dim(sp, doubled, engine)
+    if not any(x % 2 for w in doubled for x in w):
+        same = tuple(tuple(x // 2 for x in w) for w in doubled)
+        sp_value = invariant_dim(rn.target, same, engine)
+    sp_doubled = invariant_dim(rn.target, doubled, engine)
     return SaturationRow(ws, spin_value, sp_value, sp_doubled)
 
 
@@ -345,8 +338,7 @@ def saturation_scan(
         raise InputError("rank must be at least 2 for the B/C pair")
     if n < 1:
         raise InputError("tuple size must be at least 1")
-    spin = build_root_system(f"B{rank}")
-    sp = build_root_system(f"C{rank}")
-    items = sweep_tuples(dominant_pool(spin, bound, "coords"), n)
-    rows = _parallel_map(lambda ws: _saturation_row(spin, sp, ws, engine), items, workers)
+    rn = builtin(f"sp_to_spin:{rank}")
+    items = sweep_tuples(dominant_pool(rn.source, bound, "coords"), n)
+    rows = _parallel_map(lambda ws: _saturation_row(rn, ws, engine), items, workers)
     return SaturationReport(rank, n, bound, tuple(rows))

@@ -189,11 +189,11 @@ def validate(rn: Renormalization) -> RenormReport:
         checks.append(CheckResult("weyl-equivariance", False, "no root matching"))
 
     if rn.prime is not None:
-        def is_power(v: int, p: int) -> bool:
-            while v % p == 0:
-                v //= p
-            return v == 1
-        ok = rn.prime >= 2 and all(is_power(v, rn.prime) for v in rn.c)
+        try:
+            special_exponents(rn)
+            ok = True
+        except (InputError, InvariantViolation):
+            ok = False
         checks.append(
             CheckResult("prime-powers", ok,
                         "" if ok else f"some c value is not a power of {rn.prime}")
@@ -267,13 +267,19 @@ def transport_chain(rn: Renormalization, chain: LSChain) -> LSChain:
 
 
 def special_exponents(rn: Renormalization) -> tuple[int, tuple[int, ...]]:
-    """(p, d) with c(alpha) = p^d(alpha), for renormalizations carrying a prime."""
+    """(p, d) with c(alpha) = p^d(alpha), for renormalizations carrying a prime.
+
+    InputError without a prime or for one below 2; InvariantViolation when a
+    c value is not p^d for any d >= 0.
+    """
     if rn.prime is None:
         raise InputError("no prime attached to this renormalization")
+    if rn.prime < 2:
+        raise InputError(f"attached prime {rn.prime} is below 2")
     exps = []
     for v in rn.c:
         d = 0
-        while v % rn.prime == 0:
+        while v > 1 and v % rn.prime == 0:
             v //= rn.prime
             d += 1
         if v != 1:

@@ -211,6 +211,12 @@ def test_verify_f4_honours_an_explicit_bound(capsys):
     assert (doc["pool_size"], doc["tuples"]) == (3, 6)
 
 
+def test_verify_f4_honours_an_explicit_pool(capsys):
+    code, doc, _ = run_json(capsys, "verify", "f4", "--pool", "height", "--n", "2")
+    assert code == 0
+    assert (doc["pool_size"], doc["tuples"]) == (15, 120)
+
+
 def test_verify_bound_defaults_to_two(capsys):
     code, doc, _ = run_json(capsys, "verify", "trivial:A1", "--n", "2")
     assert doc["pool_size"] == 3
@@ -240,6 +246,18 @@ def test_frobenius_sweep(capsys):
     assert "2 strict" in out
 
 
+@pytest.mark.parametrize("label, p, flags", [
+    ("A2", "2", ["--bound", "2"]),
+    ("A2", "3", ["--bound", "1", "--full", "--json"]),
+    ("B2", "2", ["--pool", "height", "--json"]),
+])
+def test_frobenius_is_verify_of_the_frobenius_builtin(capsys, label, p, flags):
+    code, out, err = run(capsys, "frobenius", label, p, *flags)
+    want = run(capsys, "verify", f"frobenius:{label}:{p}", *flags)
+    out = out.replace('"command": "frobenius"', '"command": "verify"')
+    assert (code, out, err) == want
+
+
 def test_saturation_json_deterministic_across_workers(capsys):
     code1, doc1, _ = run_json(capsys, "saturation", "--rank", "2", "--n", "2",
                               "--bound", "1", "--workers", "1")
@@ -265,6 +283,12 @@ def test_accept_unknown_criterion(capsys):
     code, _, err = run(capsys, "accept", "--criterion", "no-such-thing")
     assert code == 1
     assert "unknown criterion" in err
+
+
+def test_accept_checks_bound_names_with_a_criterion_given(capsys):
+    want = run(capsys, "accept", "--bound", "nope=1")
+    assert want[0] == 1 and "unknown criterion 'nope'" in want[2]
+    assert run(capsys, "accept", "--criterion", "g2-self", "--bound", "nope=1") == want
 
 
 def test_accept_bad_bound_syntax(capsys):

@@ -175,6 +175,20 @@ def test_non_prime_power_c_detected():
     assert "prime-powers" in {c.name for c in report.failures()}
 
 
+def test_zero_c_value_fails_prime_powers():
+    bad = replace(builtin("frobenius:A1:2"), c=(0,))
+    assert "prime-powers" in {c.name for c in validate(bad).failures()}
+    with pytest.raises(InvariantViolation):
+        special_exponents(bad)
+
+
+def test_prime_below_two_fails_prime_powers():
+    bad = replace(builtin("frobenius:A1:2"), prime=1)
+    assert "prime-powers" in {c.name for c in validate(bad).failures()}
+    with pytest.raises(InputError):
+        special_exponents(bad)
+
+
 def test_lattice_constraint_detected():
     # the identity on B2 does not carry the full weight lattice into eps-integers
     report = validate(_rn("B2", ((1, 0), (0, 1)), target_lattice="eps_int"))
