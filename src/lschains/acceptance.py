@@ -11,10 +11,12 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from fractions import Fraction as Q
 from functools import partial
+from math import gcd
 
 from .charoracle import tensor_decompose_oracle, weyl_dim
-from .errors import InputError
+from .errors import InputError, InvariantViolation
 from .invariants import (
     dominant_pool,
     frobenius_check,
@@ -22,13 +24,19 @@ from .invariants import (
     sweep_tuples,
     verify_inequality,
 )
-from .pathmodel import chain_weights, delta_sequence, enumerate_ls_chains, tensor_decompose
+from .pathmodel import (
+    _ls_chain,
+    _walk_all,
+    _walker,
+    delta_sequence,
+    enumerate_ls_chains,
+    tensor_decompose,
+)
 from .renorm import (
     builtin,
     builtin_catalog,
     dual_renormalization,
     map_weight,
-    transport_chain,
     validate,
 )
 from .rootsys import build_root_system
@@ -120,25 +128,73 @@ def _f4_self(bound, engine, workers):
     return rep.ok, detail
 
 
+def _transport_shape(rn, shape):
+    """The chains of shape and their images under phi, on orbit and Farey indices.
+
+    A chain is the walker's (step indices, cut indices, endpoint, depth).  phi
+    carries a source step to a target orbit index through map_weight, and a
+    scaled cut L_s * b to L_t * b in the target's cut table.  Each image is
+    checked as transport_chain checks it, and a failure raises the same
+    InvariantViolation: a step outside the target orbit, a consecutive pair
+    outside the b-order (a cut missing from the target's table has a
+    denominator no cover pairing is divisible by, so it fails here too), or
+    cuts that do not increase.
+
+    Returns the source and target walkers, the source chains in canonical
+    order, their images as (steps, cuts), and {(steps, cuts): (endpoint,
+    depth)} over every chain the target walk enumerates.
+    """
+    Ws = _walker(rn.source, shape)
+    Wt = _walker(rn.target, map_weight(rn, shape))
+    Pt, Lt = Wt.poset, Wt.scale
+    step = [Pt.index.get(map_weight(rn, w)) for w in Ws.poset.elements]
+    target_cut = {c: k for k, c in enumerate(Wt.cuts)}
+    cut = []  # per source cut: (target cut index, target down masks at its denominator)
+    for c in Ws.cuts:
+        q, r = divmod(c * Lt, Ws.scale)
+        k = None if r else target_cut.get(q)
+        cut.append((k, None if k is None else Pt.down_mask(Lt // gcd(q, Lt))))
+    chains = sorted(_walk_all(Ws))
+    images = []
+    for steps, ks, _, _ in chains:
+        ts = tuple(step[x] for x in steps)
+        if None in ts:
+            s = map_weight(rn, Ws.poset.elements[steps[ts.index(None)]])
+            raise InvariantViolation(f"transported step {s} is outside the target orbit")
+        tks = []
+        for x, y, k in zip(ts, ts[1:], ks):
+            t, masks = cut[k]
+            if t is None or not (masks[y] >> x) & 1:
+                raise InvariantViolation(
+                    f"transported relation {Pt.elements[x]} < {Pt.elements[y]} "
+                    f"fails at cut {Q(Ws.cuts[k], Ws.scale)}")
+            tks.append(t)
+        if any(b <= a for a, b in zip(tks, tks[1:])):
+            raise InvariantViolation("cuts are not strictly increasing")
+        images.append((ts, tuple(tks)))
+    targets = {(steps, ks): (end, depth) for steps, ks, end, depth in _walk_all(Wt)}
+    return Ws, Wt, chains, images, targets
+
+
 def _chain_transport(bound, engine, workers):
     total = 0
     for spec in ("g2", "frobenius:A2:2"):
         rn = builtin(spec)
         for shape in dominant_pool(rn.source, bound, "coords"):
-            chains = enumerate_ls_chains(rn.source, shape)
-            moved = [transport_chain(rn, c) for c in chains]
-            keys = [(t.steps, t.cuts) for t in moved]
-            if len(set(keys)) != len(chains):
+            Ws, _, chains, images, targets = _transport_shape(rn, shape)
+            if len(set(images)) != len(chains):
                 return False, f"{spec}: transport not injective on shape {shape}"
-            targets = {(t.steps, t.cuts) for t in enumerate_ls_chains(rn.target, map_weight(rn, shape))}
-            for c, t, key in zip(chains, moved, keys):
+            weights = {w for _, _, end, depth in chains for w in (end, depth)}
+            phi = {w: map_weight(rn, w) for w in weights}
+            for (steps, ks, end, depth), key in zip(chains, images):
                 if key not in targets:
+                    c = _ls_chain(Ws, steps, ks)
                     return False, f"{spec}: image of {c} is not a chain of the image shape"
-                (end, depth), (t_end, t_depth) = chain_weights(c), chain_weights(t)
-                if t_end != map_weight(rn, end):
-                    return False, f"{spec}: endpoint does not commute on {c}"
-                if t_depth != map_weight(rn, depth):
-                    return False, f"{spec}: depth does not commute on {c}"
+                t_end, t_depth = targets[key]
+                if t_end != phi[end]:
+                    return False, f"{spec}: endpoint does not commute on {_ls_chain(Ws, steps, ks)}"
+                if t_depth != phi[depth]:
+                    return False, f"{spec}: depth does not commute on {_ls_chain(Ws, steps, ks)}"
             total += len(chains)
     return True, f"{total} chains transported injectively; endpoint and depth commute"
 

@@ -87,6 +87,11 @@ def _add_workers(p):
                    help="parallel workers for the sweep (capped by the CPU count and LSCHAINS_MAX_WORKERS)")
 
 
+def _add_max_chains(p, what: str):
+    p.add_argument("--max-chains", type=int, default=1_000_000, metavar="N",
+                   help=f"refuse {what} with more than N chains, i.e. dim V > N (default 1000000)")
+
+
 def _add_sweep(p):
     """The options shared by verify and frobenius, which run the same sweep."""
     p.add_argument("--n", type=int, default=3, help="tuple size (default 3)")
@@ -115,8 +120,7 @@ def _build_parser() -> _Parser:
     p.add_argument("type")
     p.add_argument("shape")
     p.add_argument("--limit", type=int, default=None, help="print at most N chains")
-    p.add_argument("--max-chains", type=int, default=1_000_000, metavar="N",
-                   help="refuse shapes with more than N chains, i.e. dim V > N (default 1000000)")
+    _add_max_chains(p, "shapes")
     _add_common(p)
 
     p = sub.add_parser("mult", help="multiplicity of a target in a tensor product")
@@ -125,6 +129,7 @@ def _build_parser() -> _Parser:
     p.add_argument("factors", nargs="+", help="factor weights (after an optional --)")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the character-theoretic engine")
+    _add_max_chains(p, "the smaller of two factors")
     _add_common(p)
 
     p = sub.add_parser("tensor", help="full decomposition of a two-factor product")
@@ -133,6 +138,7 @@ def _build_parser() -> _Parser:
     p.add_argument("nu")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the character-theoretic engine")
+    _add_max_chains(p, "the smaller factor")
     _add_common(p)
 
     p = sub.add_parser("invdim", help="dimension of the invariant subspace")
@@ -214,17 +220,31 @@ def _cmd_roots(args):
     return payload, lines, False
 
 
+def _check_chain_budget(R, shape, budget: int) -> int:
+    """dim V(shape), the number of chains of shape, known before any is walked.
+
+    InputError when it is over the --max-chains budget.
+    """
+    if budget < 0:
+        raise InputError(f"--max-chains must be nonnegative, got {budget}")
+    dim = weyl_dim(R, shape)
+    if dim > budget:
+        raise InputError(f"{R.label} shape {_wstr(shape)} has {dim} chains, "
+                         f"over --max-chains {budget}")
+    return dim
+
+
+def _check_product_budget(R, mu, nu, budget: int) -> None:
+    """The tensor rule walks the smaller factor's chains: check that one."""
+    _check_chain_budget(R, min((mu, nu), key=lambda w: weyl_dim(R, w)), budget)
+
+
 def _cmd_chains(args):
     if args.limit is not None and args.limit < 0:
         raise InputError(f"--limit must be nonnegative, got {args.limit}")
-    if args.max_chains < 0:
-        raise InputError(f"--max-chains must be nonnegative, got {args.max_chains}")
     R = build_root_system(args.type)
     shape = parse_weight(R, args.shape)
-    dim = weyl_dim(R, shape)  # the number of chains, known before any is enumerated
-    if dim > args.max_chains:
-        raise InputError(f"{R.label} shape {_wstr(shape)} has {dim} chains, "
-                         f"over --max-chains {args.max_chains}")
+    dim = _check_chain_budget(R, shape, args.max_chains)
     chains = enumerate_ls_chains(R, shape)
     lines = [f"{R.label} shape {_wstr(shape)}: {len(chains)} chains (dim V = {dim})"]
     shown = chains if args.limit is None else chains[: args.limit]
@@ -262,6 +282,7 @@ def _cmd_mult(args):
     if len(factors) < 2:
         raise InputError("mult needs at least two factor weights")
     if len(factors) == 2:
+        _check_product_budget(R, *factors, args.max_chains)
         value = tensor_multiplicity(R, target, factors[0], factors[1])
         if args.oracle:
             _check_oracle_pair(R, factors[0], factors[1])
@@ -280,6 +301,7 @@ def _cmd_tensor(args):
     R = build_root_system(args.type)
     mu = parse_weight(R, args.mu)
     nu = parse_weight(R, args.nu)
+    _check_product_budget(R, mu, nu, args.max_chains)
     dec = tensor_decompose(R, mu, nu)
     if args.oracle:
         _check_oracle_pair(R, mu, nu)

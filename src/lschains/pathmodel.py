@@ -145,22 +145,31 @@ def _walk(W: _Walker, nu: Weight) -> list[tuple[tuple, tuple, Weight, Weight]]:
     return out
 
 
+def _walk_all(W: _Walker) -> list[tuple[tuple, tuple, Weight, Weight]]:
+    """_walk output for every chain of the shape, unsorted."""
+    # |delta_t| <= M in every coordinate, so the floor -L * M prunes nothing
+    M = max(abs(a) for w in W.poset.elements for a in w)
+    return _walk(W, (M,) * len(W.poset.base))
+
+
 @memo
 def _chain_indices(R: RootSystem, mu: Weight) -> tuple[tuple[tuple, tuple], ...]:
     """(step indices, cut indices) of every chain of shape mu, sorted."""
-    W = _walker(R, mu)
-    # |delta_t| <= M in every coordinate, so the floor -L * M prunes nothing
-    M = max(abs(a) for w in W.poset.elements for a in w)
-    return tuple((steps, ks) for steps, ks, _, _ in sorted(_walk(W, (M,) * R.rank)))
+    return tuple(sorted((steps, ks) for steps, ks, _, _ in _walk_all(_walker(R, mu))))
+
+
+def _ls_chain(W: _Walker, steps: tuple, ks: tuple) -> LSChain:
+    """The LSChain of one walked chain: orbit weights and Fraction cuts."""
+    elements = W.poset.elements
+    return LSChain(W.poset.base, tuple(elements[i] for i in steps),
+                   tuple(Q(W.cuts[k], W.scale) for k in ks))
 
 
 def enumerate_ls_chains(R: RootSystem, mu) -> tuple[LSChain, ...]:
     """All LS chains of shape mu, in canonical (steps, cuts) order."""
     mu = dominant_weight(R, mu)
     W = _walker(R, mu)
-    elements, cuts = W.poset.elements, [Q(c, W.scale) for c in W.cuts]
-    return tuple(LSChain(mu, tuple(elements[i] for i in steps), tuple(cuts[k] for k in ks))
-                 for steps, ks in _chain_indices(R, mu))
+    return tuple(_ls_chain(W, steps, ks) for steps, ks in _chain_indices(R, mu))
 
 
 def delta_sequence(chain: LSChain) -> tuple[RationalWeight, ...]:

@@ -191,13 +191,9 @@ def validate(rn: Renormalization) -> RenormReport:
     if rn.prime is not None:
         try:
             special_exponents(rn)
-            ok = True
-        except (InputError, InvariantViolation):
-            ok = False
-        checks.append(
-            CheckResult("prime-powers", ok,
-                        "" if ok else f"some c value is not a power of {rn.prime}")
-        )
+            checks.append(CheckResult("prime-powers", True))
+        except (InputError, InvariantViolation) as exc:
+            checks.append(CheckResult("prime-powers", False, str(exc)))
 
     if rn.source_lattice or rn.target_lattice:
         gens = _lattice_generators(rn.source, rn.source_lattice)
@@ -277,13 +273,13 @@ def special_exponents(rn: Renormalization) -> tuple[int, tuple[int, ...]]:
     if rn.prime < 2:
         raise InputError(f"attached prime {rn.prime} is below 2")
     exps = []
-    for v in rn.c:
-        d = 0
+    for c in rn.c:
+        v, d = c, 0
         while v > 1 and v % rn.prime == 0:
             v //= rn.prime
             d += 1
         if v != 1:
-            raise InvariantViolation("c value is not a power of the attached prime")
+            raise InvariantViolation(f"c value {c} is not a power of the attached prime {rn.prime}")
         exps.append(d)
     return rn.prime, tuple(exps)
 

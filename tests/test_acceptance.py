@@ -5,12 +5,17 @@ Each test prints the one-line PASS/FAIL summary for its criterion, so
 """
 
 import json
+from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
 
-from lschains.acceptance import CRITERIA, DEFAULT_BOUNDS, run_all, run_criterion
-from lschains.errors import InputError
+from lschains import acceptance, renorm
+from lschains.acceptance import CRITERIA, DEFAULT_BOUNDS, _transport_shape, run_all, run_criterion
+from lschains.errors import InputError, InvariantViolation
+from lschains.invariants import dominant_pool
+from lschains.pathmodel import chain_weights, enumerate_ls_chains
+from lschains.renorm import builtin, transport_chain
 
 CRITERION_NAMES = list(CRITERIA)
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "accept_reference.json"
@@ -53,3 +58,99 @@ def test_zero_bounds_are_vacuous_but_run():
     results = run_all({name: 0 for name in CRITERION_NAMES})
     assert [r.name for r in results] == CRITERION_NAMES
     assert all(r.passed for r in results)
+
+
+# ---------------------------------------------------------------------------
+# chain-transport: the integer images against the Fraction transport_chain
+
+@pytest.mark.parametrize("spec", ["g2", "frobenius:A2:2"])
+def test_integer_transport_equals_transport_chain(spec):
+    rn = builtin(spec)
+    checked = 0
+    for shape in dominant_pool(rn.source, 2, "coords"):
+        Ws, Wt, chains, images, targets = _transport_shape(rn, shape)
+        sources = enumerate_ls_chains(rn.source, shape)
+        assert len(chains) == len(images) == len(sources)
+        for (steps, ks, _, _), (ts, tks), c in zip(chains, images, sources):
+            assert tuple(Ws.poset.elements[i] for i in steps) == c.steps
+            assert tuple(Q(Ws.cuts[k], Ws.scale) for k in ks) == c.cuts
+            moved = transport_chain(rn, c)
+            assert tuple(Wt.poset.elements[i] for i in ts) == moved.steps
+            assert tuple(Q(Wt.cuts[k], Wt.scale) for k in tks) == moved.cuts
+            assert targets[ts, tks] == chain_weights(moved)
+            checked += 1
+    assert checked == {"g2": 1394, "frobenius:A2:2": 84}[spec]  # 1478 in all, as `accept` reports
+
+
+def test_chain_transport_fails_on_a_target_chain_missing_from_the_enumeration(monkeypatch):
+    # (2, 0) is the image of the A2 shape (1, 0) and no source shape at bound 1;
+    # its top chain is the image of (1, 0)'s top chain
+    walk_all = acceptance._walk_all
+
+    def drop_top_chain(W):
+        chains = walk_all(W)
+        if W.poset.system.label == "A2" and W.poset.base == (2, 0):
+            chains = [ch for ch in chains if ch[:2] != ((0,), ())]
+        return chains
+
+    monkeypatch.setattr(acceptance, "_walk_all", drop_top_chain)
+    result = run_criterion("chain-transport", bound=1)
+    assert not result.passed
+    assert result.detail == ("frobenius:A2:2: image of LSChain(shape=(1, 0), steps=((1, 0),), "
+                             "cuts=()) is not a chain of the image shape")
+
+
+@pytest.mark.parametrize("bound, weight, detail", [
+    # (3, 0) is a weight of the A2 shape (2, 2), and at bound 2 no shape, step or depth
+    (2, (3, 0), "endpoint does not commute on LSChain(shape=(2, 2),"),
+    # (-2, 0) is the depth of a chain of shape (1, 1), and at bound 1 nothing else
+    (1, (-2, 0), "depth does not commute on LSChain(shape=(1, 1),"),
+])
+def test_chain_transport_fails_on_a_map_weight_that_shifts_an_endpoint_or_depth(
+        monkeypatch, bound, weight, detail):
+    real = acceptance.map_weight
+
+    def shifted(rn, w):
+        out = real(rn, w)
+        return (out[0] + 1, out[1]) if rn.name == "frobenius:A2:2" and w == weight else out
+
+    monkeypatch.setattr(acceptance, "map_weight", shifted)
+    result = run_criterion("chain-transport", bound=bound)
+    assert not result.passed
+    assert result.detail.startswith(f"frobenius:A2:2: {detail}")
+
+
+def test_chain_transport_fails_on_a_step_map_that_is_not_injective(monkeypatch):
+    # the A2 shape (1, 0) is minuscule: its three chains are single steps, so
+    # sending (-1, 1) to the image of (1, 0) breaks only injectivity
+    real = acceptance.map_weight
+
+    def merged(rn, w):
+        return real(rn, (1, 0) if rn.name == "frobenius:A2:2" and w == (-1, 1) else w)
+
+    monkeypatch.setattr(acceptance, "map_weight", merged)
+    result = run_criterion("chain-transport", bound=1)
+    assert not result.passed
+    assert result.detail == "frobenius:A2:2: transport not injective on shape (1, 0)"
+
+
+@pytest.mark.parametrize("moves, broken", [
+    ({(-1, -1): (2, -1), (2, -1): (-1, -1)},
+     "transported relation (-4, 2) < (-2, -2) fails at cut 1/2"),
+    ({(-1, 2): (-1, 3)}, "transported step (-2, 6) is outside the target orbit"),
+])
+def test_chain_transport_fails_as_transport_chain_does(monkeypatch, moves, broken):
+    # steps of the A2 shape (1, 1) moved before phi; no smaller shape has them
+    real = renorm.map_weight
+
+    def moved(rn, w):
+        return real(rn, moves.get(w, w) if rn.name == "frobenius:A2:2" else w)
+
+    monkeypatch.setattr(renorm, "map_weight", moved)
+    monkeypatch.setattr(acceptance, "map_weight", moved)
+    rn = builtin("frobenius:A2:2")
+    with pytest.raises(InvariantViolation) as exc:
+        for c in enumerate_ls_chains(rn.source, (1, 1)):
+            transport_chain(rn, c)
+    assert str(exc.value) == broken
+    assert run_criterion("chain-transport", bound=1).detail == f"error: {exc.value!r}"

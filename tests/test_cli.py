@@ -130,6 +130,30 @@ def test_tensor_walks_the_smaller_factor_in_either_order(capsys):
         assert doc["components"] == want
 
 
+@pytest.mark.parametrize("argv", [
+    ("tensor", "A1", "99999999999999999999", "99999999999999999999"),
+    ("mult", "A1", "0", "99999999999999999999", "99999999999999999999"),
+    ("tensor", "E7", "1,1,1,1,1,1,1", "1,1,1,1,1,1,1"),
+    ("tensor", "G2", "3,3", "3,3", "--max-chains", "4095"),
+    ("mult", "A1", "0", "3", "3", "--max-chains", "-1"),
+])
+def test_products_over_the_chain_budget_fail_before_walking(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--max-chains" in err
+    assert "Traceback" not in err
+
+
+def test_product_budget_checks_the_smaller_factor(capsys):
+    code, doc, _ = run_json(capsys, "tensor", "A1", "2000", "2000")
+    assert code == 0 and len(doc["components"]) == 2001
+    code, out, _ = run(capsys, "mult", "A1", "3", "99999999999999999999", "3", "--max-chains", "4")
+    assert code == 0 and out.strip() == "0"
+    code, _, err = run(capsys, "tensor", "G2", "3,3", "1,0", "--max-chains", "6")
+    assert code == 1 and "G2 shape 1,0 has 7 chains, over --max-chains 6" in err
+
+
 def test_eps_weight_syntax(capsys):
     code, out, _ = run(capsys, "invdim", "B2", "eps:1/2,1/2", "eps:1/2,1/2")
     assert code == 0 and out.strip() == "1"

@@ -189,6 +189,14 @@ def test_prime_below_two_fails_prime_powers():
         special_exponents(bad)
 
 
+@pytest.mark.parametrize("bad, detail", [
+    (replace(builtin("frobenius:A1:2"), prime=1), "attached prime 1 is below 2"),
+    (replace(builtin("frobenius:A1:2"), c=(6,)), "c value 6 is not a power of the attached prime 2"),
+])
+def test_prime_powers_detail_names_the_fault(bad, detail):
+    assert {c.name: c.detail for c in validate(bad).failures()}["prime-powers"] == detail
+
+
 def test_lattice_constraint_detected():
     # the identity on B2 does not carry the full weight lattice into eps-integers
     report = validate(_rn("B2", ((1, 0), (0, 1)), target_lattice="eps_int"))
