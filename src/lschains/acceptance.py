@@ -28,7 +28,7 @@ from .pathmodel import (
     _ls_chain,
     _walk_all,
     _walker,
-    delta_sequence,
+    chain_weights,
     enumerate_ls_chains,
     tensor_decompose,
 )
@@ -90,12 +90,10 @@ def _ls_chain_sanity(bound, engine, workers):
             if len(chains) != dim:
                 return False, f"|LS({label}, {shape})| = {len(chains)}, expected {dim}"
             for chain in chains:
-                deltas = delta_sequence(chain)
-                if any(x.denominator != 1 for x in deltas[-1]):
-                    return False, f"{label} chain {chain} has fractional endpoint"
-                depth = tuple(min(d[i] for d in deltas) for i in range(R.rank))
-                if any(x.denominator != 1 for x in depth):
-                    return False, f"{label} chain {chain} has fractional depth"
+                try:
+                    chain_weights(chain)
+                except InvariantViolation as exc:
+                    return False, f"{label} chain {chain}: {exc}"
                 checked += 1
     return True, f"A1 counts m=0..{bound} and integrality of {checked} chains"
 
@@ -154,7 +152,7 @@ def _transport_shape(rn, shape):
         q, r = divmod(c * Lt, Ws.scale)
         k = None if r else target_cut.get(q)
         cut.append((k, None if k is None else Pt.down_mask(Lt // gcd(q, Lt))))
-    chains = sorted(_walk_all(Ws))
+    chains = _walk_all(Ws)
     images = []
     for steps, ks, _, _ in chains:
         ts = tuple(step[x] for x in steps)

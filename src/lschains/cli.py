@@ -129,7 +129,7 @@ def _build_parser() -> _Parser:
     p.add_argument("factors", nargs="+", help="factor weights (after an optional --)")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the character-theoretic engine")
-    _add_max_chains(p, "the smaller of two factors")
+    _add_max_chains(p, "the weights it walks")
     _add_common(p)
 
     p = sub.add_parser("tensor", help="full decomposition of a two-factor product")
@@ -289,6 +289,10 @@ def _cmd_mult(args):
     else:
         # m(target; f1..fn) is the invariant dimension of the product with V(target)*
         ws = [dual_weight(R, target), *factors]
+        # for up to five weights, invariant_dim walks no shape larger than one
+        # of the weights below the two largest, so those take the budget
+        for w in sorted(ws, key=lambda w: (weyl_dim(R, w), w))[:-2]:
+            _check_chain_budget(R, w, args.max_chains)
         value = invariant_dim(R, ws, "chains")
         if args.oracle and invariant_dim(R, ws, "oracle") != value:
             raise InvariantViolation("chain and oracle engines disagree")

@@ -309,14 +309,12 @@ class SaturationReport:
 
 def _saturation_row(rn: Renormalization, ws, engine: str) -> SaturationRow:
     """One row of the scan; rn is sp_to_spin, the doubling of ambient coordinates."""
-    spin_value = invariant_dim(rn.source, ws, engine)
-    doubled = tuple(map_weight(rn, w) for w in ws)
+    row = _verify_row(rn, ws, engine)
     sp_value = None
-    if not any(x % 2 for w in doubled for x in w):
-        same = tuple(tuple(x // 2 for x in w) for w in doubled)
+    if not any(x % 2 for w in row.images for x in w):
+        same = tuple(tuple(x // 2 for x in w) for w in row.images)
         sp_value = invariant_dim(rn.target, same, engine)
-    sp_doubled = invariant_dim(rn.target, doubled, engine)
-    return SaturationRow(ws, spin_value, sp_value, sp_doubled)
+    return SaturationRow(ws, row.lhs, sp_value, row.rhs)
 
 
 def saturation_scan(

@@ -146,16 +146,10 @@ def _walk(W: _Walker, nu: Weight) -> list[tuple[tuple, tuple, Weight, Weight]]:
 
 
 def _walk_all(W: _Walker) -> list[tuple[tuple, tuple, Weight, Weight]]:
-    """_walk output for every chain of the shape, unsorted."""
+    """_walk output for every chain of the shape, in canonical (steps, cut indices) order."""
     # |delta_t| <= M in every coordinate, so the floor -L * M prunes nothing
     M = max(abs(a) for w in W.poset.elements for a in w)
-    return _walk(W, (M,) * len(W.poset.base))
-
-
-@memo
-def _chain_indices(R: RootSystem, mu: Weight) -> tuple[tuple[tuple, tuple], ...]:
-    """(step indices, cut indices) of every chain of shape mu, sorted."""
-    return tuple(sorted((steps, ks) for steps, ks, _, _ in _walk_all(_walker(R, mu))))
+    return sorted(_walk(W, (M,) * len(W.poset.base)))
 
 
 def _ls_chain(W: _Walker, steps: tuple, ks: tuple) -> LSChain:
@@ -167,9 +161,8 @@ def _ls_chain(W: _Walker, steps: tuple, ks: tuple) -> LSChain:
 
 def enumerate_ls_chains(R: RootSystem, mu) -> tuple[LSChain, ...]:
     """All LS chains of shape mu, in canonical (steps, cuts) order."""
-    mu = dominant_weight(R, mu)
-    W = _walker(R, mu)
-    return tuple(_ls_chain(W, steps, ks) for steps, ks in _chain_indices(R, mu))
+    W = _walker(R, dominant_weight(R, mu))
+    return tuple(_ls_chain(W, steps, ks) for steps, ks, _, _ in _walk_all(W))
 
 
 def delta_sequence(chain: LSChain) -> tuple[RationalWeight, ...]:
@@ -192,12 +185,12 @@ def _integral(w: RationalWeight, what: str) -> Weight:
 
 def chain_endpoint(chain: LSChain) -> Weight:
     """omega(C) = delta_{l+1}, always integral."""
-    return _integral(delta_sequence(chain)[-1], "chain endpoint")
+    return chain_weights(chain)[0]
 
 
 def chain_depth(chain: LSChain) -> Weight:
     """Coordinatewise minimum of the delta sequence; integral by theory."""
-    return _integral(tuple(map(min, zip(*delta_sequence(chain)))), "chain depth")
+    return chain_weights(chain)[1]
 
 
 def chain_weights(chain: LSChain) -> tuple[Weight, Weight]:

@@ -27,7 +27,8 @@ from math import lcm
 from .errors import InputError, InvariantViolation
 from .pathmodel import LSChain, b_order_leq
 from .ratmat import Mat, inverse, mat, matmul, matvec, transpose
-from .rootsys import Root, RootSystem, Weight, build_root_system, weyl_orbit_poset
+from .rootsys import (Root, RootSystem, Weight, build_root_system, integral_weight,
+                      weyl_orbit_poset)
 
 __all__ = [
     "Renormalization",
@@ -224,12 +225,7 @@ def _lattice_generators(R: RootSystem, tag: str | None) -> list[Weight]:
 
 def map_weight(rn: Renormalization, w) -> Weight:
     """phi applied to an integral source weight; integrality is enforced."""
-    w = tuple(w)
-    if len(w) != rn.source.rank or not all(isinstance(x, int) for x in w):
-        raise InputError(
-            f"weight {w} is not an integral weight of rank {rn.source.rank} "
-            f"for {rn.source.label}"
-        )
+    w = integral_weight(rn.source, w)
     if not _lattice_member(rn.source, rn.source_lattice, w):
         raise InputError(f"{w} lies outside the declared source lattice")
     den, rows = rn._phi_int
@@ -396,12 +392,11 @@ def builtin(spec: str) -> Renormalization:
     if head == "frobenius":
         if len(parts) != 3:
             raise InputError("usage: frobenius:LABEL:P")
-        R = build_root_system(parts[1])
+        build_root_system(parts[1])  # a bad label is reported before a bad prime
         p = _int_param(parts[2], "frobenius:LABEL:P")
         if not _is_prime(p):
             raise InputError(f"{p} is not prime")
-        return Renormalization(R, R, _scaled_identity(R, p),
-                               (p,) * len(R.positive_roots), name=spec, prime=p)
+        return replace(builtin(f"trivial:{parts[1]}:{p}"), name=spec, prime=p)
 
     if head == "short_to_dual":
         if len(parts) != 2:

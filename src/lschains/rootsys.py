@@ -35,6 +35,7 @@ __all__ = [
     "reflect",
     "weyl_orbit_poset",
     "weyl_dim",
+    "integral_weight",
     "dominant_weight",
     "dual_weight",
     "weyl_orbit",
@@ -311,11 +312,17 @@ def reflect(R: RootSystem, w, root_index: int):
     return R.reflect_root(w, root_index)
 
 
-def dominant_weight(R: RootSystem, w, name: str = "weight") -> Weight:
-    """w as a tuple if it is a dominant weight of R with int entries; else InputError."""
+def integral_weight(R: RootSystem, w, name: str = "weight") -> Weight:
+    """w as a tuple if it is a weight of R with int entries; else InputError."""
     w = tuple(w)
     if len(w) != R.rank or not all(isinstance(x, int) for x in w):
         raise InputError(f"{name} {w} is not an integral weight of rank {R.rank}")
+    return w
+
+
+def dominant_weight(R: RootSystem, w, name: str = "weight") -> Weight:
+    """w as a tuple if it is a dominant weight of R with int entries; else InputError."""
+    w = integral_weight(R, w, name)
     if not R.is_dominant(w):
         raise InputError(f"{name} {w} is not dominant")
     return w

@@ -5,16 +5,17 @@ Each test prints the one-line PASS/FAIL summary for its criterion, so
 """
 
 import json
+from dataclasses import replace
 from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
 
-from lschains import acceptance, renorm
+from lschains import acceptance, pathmodel, renorm
 from lschains.acceptance import CRITERIA, DEFAULT_BOUNDS, _transport_shape, run_all, run_criterion
 from lschains.errors import InputError, InvariantViolation
 from lschains.invariants import dominant_pool
-from lschains.pathmodel import chain_weights, enumerate_ls_chains
+from lschains.pathmodel import LSChain, chain_weights, enumerate_ls_chains
 from lschains.renorm import builtin, transport_chain
 
 CRITERION_NAMES = list(CRITERIA)
@@ -43,6 +44,30 @@ def test_criterion(name):
     print(result.line())
     assert result.passed, result.line()
     assert result.detail == json.loads(REFERENCE.read_text())["full"][name]
+
+
+@pytest.mark.parametrize("name", CRITERION_NAMES)
+def test_criterion_details_under_the_oracle_engine(name):
+    result = run_criterion(name, DEFAULT_BOUNDS[name], "oracle")
+    assert result.detail == json.loads(REFERENCE.read_text())["full"][name]
+
+
+def test_ls_chain_sanity_fails_on_a_fractional_endpoint(monkeypatch):
+    # moving the cut of the A1 chain (-2,) < (2,) from 1/2 to 1/3 puts its endpoint at 2/3
+    real = pathmodel._ls_chain
+
+    def moved(W, steps, ks):
+        chain = real(W, steps, ks)
+        if chain.shape == (2,) and chain.cuts == (Q(1, 2),):
+            return replace(chain, cuts=(Q(1, 3),))
+        return chain
+
+    monkeypatch.setattr(pathmodel, "_ls_chain", moved)
+    result = run_criterion("ls-chain-sanity", 2)
+    assert not result.passed
+    bad = LSChain((2,), ((-2,), (2,)), (Q(1, 3),))
+    assert result.detail.startswith(f"A1 chain {bad}: ")
+    assert "chain endpoint" in result.detail
 
 
 def test_run_all_validates_configuration():

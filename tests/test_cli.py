@@ -136,6 +136,7 @@ def test_tensor_walks_the_smaller_factor_in_either_order(capsys):
     ("tensor", "E7", "1,1,1,1,1,1,1", "1,1,1,1,1,1,1"),
     ("tensor", "G2", "3,3", "3,3", "--max-chains", "4095"),
     ("mult", "A1", "0", "3", "3", "--max-chains", "-1"),
+    ("mult", "A1", "0", *["99999999999999999998"] * 3),
 ])
 def test_products_over_the_chain_budget_fail_before_walking(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -152,6 +153,17 @@ def test_product_budget_checks_the_smaller_factor(capsys):
     assert code == 0 and out.strip() == "0"
     code, _, err = run(capsys, "tensor", "G2", "3,3", "1,0", "--max-chains", "6")
     assert code == 1 and "G2 shape 1,0 has 7 chains, over --max-chains 6" in err
+
+
+@pytest.mark.parametrize("argv, value", [
+    (("3", "--", "N", "N", "1"), "2"),
+    (("0", "--", "1", "N", "N"), "0"),
+])
+def test_multi_factor_budget_skips_the_two_largest_weights(capsys, argv, value):
+    # the fold never walks the two largest of the target's dual and the factors
+    argv = [a.replace("N", "99999999999999999998") for a in argv]
+    code, out, err = run(capsys, "mult", "A1", *argv)
+    assert (code, out.strip(), err) == (0, value, "")
 
 
 def test_eps_weight_syntax(capsys):

@@ -79,6 +79,8 @@ def test_frobenius_requires_prime():
         builtin("frobenius:A2:4")
     with pytest.raises(InputError):
         builtin("frobenius:A2:1")
+    with pytest.raises(InputError, match="cannot parse root-system label 'X9'"):
+        builtin("frobenius:X9:4")
 
 
 def test_orthogonal_to_symplectic_images():
