@@ -146,6 +146,7 @@ def _build_parser() -> _Parser:
     p.add_argument("weights", nargs="+")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the character-theoretic engine")
+    _add_max_chains(p, "the weights it walks")
     _add_engine(p)
     _add_common(p)
 
@@ -239,6 +240,16 @@ def _check_product_budget(R, mu, nu, budget: int) -> None:
     _check_chain_budget(R, min((mu, nu), key=lambda w: weyl_dim(R, w)), budget)
 
 
+def _check_fold_budget(R, ws, budget: int) -> None:
+    """The invariant fold of ws: check every weight but the two largest.
+
+    For up to five weights, invariant_dim walks no shape larger than one of
+    the weights below the two largest by (weyl_dim, weight).
+    """
+    for w in sorted(ws, key=lambda w: (weyl_dim(R, w), w))[:-2]:
+        _check_chain_budget(R, w, budget)
+
+
 def _cmd_chains(args):
     if args.limit is not None and args.limit < 0:
         raise InputError(f"--limit must be nonnegative, got {args.limit}")
@@ -289,10 +300,7 @@ def _cmd_mult(args):
     else:
         # m(target; f1..fn) is the invariant dimension of the product with V(target)*
         ws = [dual_weight(R, target), *factors]
-        # for up to five weights, invariant_dim walks no shape larger than one
-        # of the weights below the two largest, so those take the budget
-        for w in sorted(ws, key=lambda w: (weyl_dim(R, w), w))[:-2]:
-            _check_chain_budget(R, w, args.max_chains)
+        _check_fold_budget(R, ws, args.max_chains)
         value = invariant_dim(R, ws, "chains")
         if args.oracle and invariant_dim(R, ws, "oracle") != value:
             raise InvariantViolation("chain and oracle engines disagree")
@@ -324,6 +332,7 @@ def _cmd_tensor(args):
 def _cmd_invdim(args):
     R = build_root_system(args.type)
     ws = [parse_weight(R, w) for w in args.weights]
+    _check_fold_budget(R, ws, args.max_chains)
     value = invariant_dim(R, ws, args.engine)
     if args.oracle:
         other = "oracle" if args.engine == "chains" else "chains"

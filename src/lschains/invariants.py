@@ -1,30 +1,37 @@
 """Invariant multiplicities and verification sweeps.
 
 The n-fold invariant dimension [l1, ..., ln] is the dimension of the
-invariant subspace of V(l1) (x) ... (x) V(ln).  It is computed by a left
-fold: decompose the first two factors, recurse on each component.  The
-base cases are [l] = 1 iff l = 0 and [l, m] = 1 iff m is the dual of l.
+invariant subspace of V(l1) (x) ... (x) V(ln).  It is computed by a fold:
+decompose the smallest factor against the largest, recurse on each
+component with the other factors.  The base cases are [l] = 1 iff l = 0
+and [l, m] = 1 iff m is the dual of l.
 
 Sweeps compare source-side invariant dimensions against target-side ones
 through a renormalization; the inequality under test is lhs <= rhs on
-every tuple.  Sweeps run in forked worker processes when asked, for any
-renormalization, builtin or custom; reports keep tuple order and do not
-depend on the worker count.
+every tuple.  A sweep plans, then evaluates.  The plan is every pair
+decomposition the folds of its rows need and no cache holds, level by
+level.  The units are grouped by chain shape and dealt over the parent and
+forked workers; each computes a distinct share, and the parent keeps every
+result in its cache.  A plan too small to pay for a fork stays in the
+parent.  The parent then assembles the rows from its warm cache in tuple
+order, so rows do not depend on the worker count.  This holds for any
+renormalization, builtin or custom.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 from .charoracle import tensor_decompose_oracle
 from .errors import InputError
 from .pathmodel import tensor_decompose
 from .renorm import Renormalization, builtin, map_weight
-from .rootsys import (RootSystem, Weight, clear_caches, dominant_weight, dual_weight, memo,
-                      weyl_dim)
+from .rootsys import (RootSystem, Weight, _weyl_dim, clear_caches, dominant_weight, dual_weight,
+                      memo)
 
 __all__ = [
     "invariant_dim",
@@ -51,10 +58,27 @@ def _check_tuple(R: RootSystem, weights) -> tuple[Weight, ...]:
     return out
 
 
-def _pair_components(R: RootSystem, a: Weight, b: Weight, engine: str):
+def _check_engine(engine: str) -> None:
+    if engine not in _ENGINES:
+        raise InputError(f"engine must be one of {_ENGINES}")
+
+
+@memo
+def _pair_components(R: RootSystem, small: Weight, big: Weight, engine: str) -> dict[Weight, int]:
+    """V(small) (x) V(big) by the engine: one unit of a sweep's plan."""
     if engine == "chains":
-        return tensor_decompose(R, a, b).components
-    return tensor_decompose_oracle(R, a, b).components
+        return tensor_decompose(R, small, big).components
+    return tensor_decompose_oracle(R, small, big).components
+
+
+def _fold_step(R: RootSystem, ws: tuple[Weight, ...], engine: str):
+    """The pair unit one fold step of ws decomposes, and the factors left beside it.
+
+    The smallest factor by (weyl_dim, weight) is the chain shape, the largest
+    the floor that prunes it.
+    """
+    small, *rest, big = sorted(ws, key=lambda w: (_weyl_dim(R, w), w))
+    return (R, small, big, engine), rest
 
 
 @memo
@@ -65,16 +89,14 @@ def _inv(R: RootSystem, ws: tuple[Weight, ...], engine: str) -> int:
         return 1 if ws[0] == zero else 0
     if len(ws) == 2:
         return 1 if ws[1] == dual_weight(R, ws[0]) else 0
-    # the smallest factor is the chain shape, the largest the floor that prunes it
-    small, *rest, big = sorted(ws, key=lambda w: (weyl_dim(R, w), w))
-    comps = _pair_components(R, small, big, engine)
-    return sum(m * _inv(R, tuple(sorted((nu, *rest))), engine) for nu, m in comps.items())
+    unit, rest = _fold_step(R, ws, engine)
+    return sum(m * _inv(R, tuple(sorted((nu, *rest))), engine)
+               for nu, m in _pair_components(*unit).items())
 
 
 def invariant_dim(R: RootSystem, weights, engine: str = "chains") -> int:
     """Dimension of the invariant subspace of the n-fold tensor product."""
-    if engine not in _ENGINES:
-        raise InputError(f"engine must be one of {_ENGINES}")
+    _check_engine(engine)
     return _inv(R, tuple(sorted(_check_tuple(R, weights))), engine)
 
 
@@ -150,13 +172,6 @@ def dominant_pool(R: RootSystem, bound: int, mode: str = "coords") -> tuple[Weig
     raise InputError("pool mode must be 'coords' or 'height'")
 
 
-def _verify_row(rn: Renormalization, ws: tuple[Weight, ...], engine: str) -> VerificationRow:
-    images = tuple(map_weight(rn, w) for w in ws)
-    lhs = invariant_dim(rn.source, ws, engine)
-    rhs = invariant_dim(rn.target, images, engine)
-    return VerificationRow(ws, images, lhs, rhs)
-
-
 def effective_workers(workers: int | None) -> int:
     """Requested worker count clamped by os.cpu_count() and the LSCHAINS_MAX_WORKERS env var."""
     n = 1 if workers is None else max(1, int(workers))
@@ -170,31 +185,137 @@ def effective_workers(workers: int | None) -> int:
     return n
 
 
-_MAP_FN = None  # the function _parallel_map runs; forked workers inherit it
+def _plan(keys) -> list[tuple]:
+    """The pair units the folds of keys (R, ws, engine) need that no cache holds.
 
-
-def _call_map_fn(item):
-    return _MAP_FN(item)
-
-
-def _parallel_map(fn, items, workers: int | None) -> list:
-    """[fn(x) for x in items], across forked worker processes when workers allow.
-
-    Forked workers inherit fn, closures included, and the parent's warm memo
-    caches; spawned ones would re-import the package and rebuild those caches
-    on every sweep.  pool.map keeps input order, so results do not depend on
-    the worker count.
+    A fold step whose unit is cached is followed to the next level; one whose
+    unit is missing stops there, so evaluating the plan and planning again
+    reaches one level deeper, until nothing is missing.
     """
-    global _MAP_FN
-    n = min(effective_workers(workers), len(items))
-    if n <= 1:
-        return [fn(x) for x in items]
-    _MAP_FN = fn
+    units: dict[tuple, None] = {}
+    seen = set()
+    todo = list(keys)
+    while todo:
+        key = todo.pop()
+        if len(key[1]) < 3 or key in seen or key in _inv.store:
+            continue
+        seen.add(key)
+        R, ws, engine = key
+        unit, rest = _fold_step(R, ws, engine)
+        comps = _pair_components.store.get(unit)
+        if comps is None:
+            units[unit] = None
+        elif len(ws) > 3:  # a pair left beside each component needs no unit
+            todo.extend((R, tuple(sorted((nu, *rest))), engine) for nu in comps)
+    return list(units)
+
+
+# The least load (weyl_dim of the chain shape, summed over units) worth a
+# share of its own: about 0.15 to 0.4 s of work.  On 2 vCPUs (Xeon, 2.1 GHz,
+# Python 3.11), two processes forked for less ran slower than one.
+_SHARE_LOAD = 40_000
+
+
+def _deal(units: list[tuple], n: int) -> list[list[tuple]]:
+    """units grouped by chain shape (R, small), dealt greedily into at most n shares.
+
+    A group weighs weyl_dim(small) per unit, and goes to the lightest share.
+    There is one share per _SHARE_LOAD of the total, and at least one.
+    """
+    groups: dict[tuple, list[tuple]] = {}
+    for unit in units:
+        groups.setdefault(unit[:2], []).append(unit)
+    weighed = sorted(((_weyl_dim(*shape) * len(g), g) for shape, g in groups.items()),
+                     key=lambda item: -item[0])
+    total = sum(load for load, _ in weighed)
+    count = max(1, min(n, len(groups), total // _SHARE_LOAD))
+    shares: list[list[tuple]] = [[] for _ in range(count)]
+    loads = [0] * count
+    for load, group in weighed:
+        i = loads.index(min(loads))
+        shares[i] += group
+        loads[i] += load
+    return shares
+
+
+def _fork(share: list[tuple]):
+    """A child that computes share's components and pickles them down a pipe.
+
+    Returns (pid, the pipe's read end).  The child sends (True, [components
+    per unit]) or (False, the exception a unit raised), all or nothing, and
+    always ends in os._exit.  The package starts no threads, so forking it
+    is safe, and the child starts from the parent's warm caches.
+    """
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            try:
+                result = (True, [_pair_components(*unit) for unit in share])
+            except Exception as exc:
+                result = (False, exc)
+            data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+            with os.fdopen(w, "wb") as out:
+                out.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, os.fdopen(r, "rb")
+
+
+def _evaluate(units: list[tuple], workers: int | None) -> None:
+    """Fill the _pair_components store with every unit.
+
+    The parent computes the first share itself and each other share runs in
+    a forked child.  A child's exception is raised again here.  Every child
+    is reaped on every path; on a failure the ones still running are killed
+    first.
+    """
+    shares = _deal(units, effective_workers(workers))
+    children = []
+    done = False
     try:
-        with multiprocessing.get_context("fork").Pool(n) as pool:
-            return pool.map(_call_map_fn, items, chunksize=max(1, len(items) // (4 * n)))
+        for share in shares[1:]:
+            children.append(_fork(share))
+        for unit in shares[0]:
+            _pair_components(*unit)
+        for (pid, pipe), share in zip(children, shares[1:]):
+            try:
+                ok, payload = pickle.load(pipe)
+            except EOFError:
+                raise ChildProcessError(f"sweep worker {pid} ended without a result") from None
+            if not ok:
+                raise payload
+            _pair_components.store.update(zip(share, payload))
+        done = True
     finally:
-        _MAP_FN = None
+        for pid, pipe in children:
+            pipe.close()
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _sweep(rows, engine: str, workers: int | None) -> list[list[int]]:
+    """[[invariant_dim(R, ws, engine) for R, ws in row] for row in rows].
+
+    Plan and evaluate until the folds of every query are cached (at most n - 2
+    rounds for n-fold queries), then assemble the values in row order.
+    """
+    _check_engine(engine)
+    keys = [(R, tuple(sorted(_check_tuple(R, ws))), engine) for row in rows for R, ws in row]
+    while units := _plan(keys):
+        _evaluate(units, workers)
+    return [[invariant_dim(R, ws, engine) for R, ws in row] for row in rows]
+
+
+def _images(rn: Renormalization, items) -> list[tuple[Weight, ...]]:
+    """phi of every tuple of items, mapping each distinct weight once, in first-seen order."""
+    phi = {w: map_weight(rn, w) for w in dict.fromkeys(itertools.chain.from_iterable(items))}
+    return [tuple(phi[w] for w in ws) for ws in items]
 
 
 def verify_inequality(
@@ -204,11 +325,13 @@ def verify_inequality(
     workers: int | None = None,
 ) -> VerificationReport:
     """Check lhs = [tuple] over the source against rhs = [phi(tuple)] over the target."""
-    if engine not in _ENGINES:
-        raise InputError(f"engine must be one of {_ENGINES}")
     items = [_check_tuple(rn.source, ws) for ws in tuples]
-    rows = _parallel_map(lambda ws: _verify_row(rn, ws, engine), items, workers)
-    return VerificationReport(rn.name or "custom", engine, tuple(rows))
+    images = _images(rn, items)
+    values = _sweep([((rn.source, ws), (rn.target, im)) for ws, im in zip(items, images)],
+                    engine, workers)
+    rows = tuple(VerificationRow(ws, im, lhs, rhs)
+                 for ws, im, (lhs, rhs) in zip(items, images, values))
+    return VerificationReport(rn.name or "custom", engine, rows)
 
 
 def sweep_tuples(pool, n: int):
@@ -307,16 +430,6 @@ class SaturationReport:
         }
 
 
-def _saturation_row(rn: Renormalization, ws, engine: str) -> SaturationRow:
-    """One row of the scan; rn is sp_to_spin, the doubling of ambient coordinates."""
-    row = _verify_row(rn, ws, engine)
-    sp_value = None
-    if not any(x % 2 for w in row.images for x in w):
-        same = tuple(tuple(x // 2 for x in w) for w in row.images)
-        sp_value = invariant_dim(rn.target, same, engine)
-    return SaturationRow(ws, row.lhs, sp_value, row.rhs)
-
-
 def saturation_scan(
     rank: int,
     n: int,
@@ -336,7 +449,14 @@ def saturation_scan(
         raise InputError("rank must be at least 2 for the B/C pair")
     if n < 1:
         raise InputError("tuple size must be at least 1")
-    rn = builtin(f"sp_to_spin:{rank}")
+    rn = builtin(f"sp_to_spin:{rank}")  # the doubling of ambient coordinates
     items = sweep_tuples(dominant_pool(rn.source, bound, "coords"), n)
-    rows = _parallel_map(lambda ws: _saturation_row(rn, ws, engine), items, workers)
-    return SaturationReport(rank, n, bound, tuple(rows))
+    queries = []
+    for ws, im in zip(items, _images(rn, items)):
+        row = [(rn.source, ws), (rn.target, im)]
+        if not any(x % 2 for w in im for x in w):  # the same ambient weights, when integral
+            row.append((rn.target, tuple(tuple(x // 2 for x in w) for w in im)))
+        queries.append(row)
+    rows = tuple(SaturationRow(ws, v[0], v[2] if len(v) == 3 else None, v[1])
+                 for ws, v in zip(items, _sweep(queries, engine, workers)))
+    return SaturationReport(rank, n, bound, rows)

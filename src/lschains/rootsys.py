@@ -47,9 +47,41 @@ __all__ = [
 _MEMO_STORES: list = []
 
 
+class CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: None
+    currsize: int
+
+
 def memo(fn):
-    """fn behind an unbounded functools.lru_cache, registered for clear_caches()."""
-    cached = functools.lru_cache(maxsize=None)(fn)
+    """fn behind an unbounded dict, registered for clear_caches().
+
+    `store` maps each positional argument tuple to its value.  A caller may
+    read it, or fill it with values computed elsewhere (by a forked sweep
+    worker); `cache_info()` and `cache_clear()` work as on functools.lru_cache.
+    """
+    store: dict = {}
+    counts = [0, 0]  # hits, misses
+
+    @functools.wraps(fn)
+    def cached(*args):
+        try:
+            value = store[args]
+        except KeyError:
+            counts[1] += 1
+            value = store[args] = fn(*args)
+            return value
+        counts[0] += 1
+        return value
+
+    def cache_clear() -> None:
+        store.clear()
+        counts[:] = [0, 0]
+
+    cached.store = store
+    cached.cache_info = lambda: CacheInfo(counts[0], counts[1], None, len(store))
+    cached.cache_clear = cache_clear
     _MEMO_STORES.append(cached)
     return cached
 

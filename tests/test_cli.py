@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -137,9 +138,13 @@ def test_tensor_walks_the_smaller_factor_in_either_order(capsys):
     ("tensor", "G2", "3,3", "3,3", "--max-chains", "4095"),
     ("mult", "A1", "0", "3", "3", "--max-chains", "-1"),
     ("mult", "A1", "0", *["99999999999999999998"] * 3),
+    ("invdim", "A1", *["99999999999999999998"] * 3),
+    ("invdim", "A1", *["99999999999999999998"] * 3, "--engine", "oracle"),
 ])
 def test_products_over_the_chain_budget_fail_before_walking(capsys, argv):
+    start = time.monotonic()
     code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "--max-chains" in err

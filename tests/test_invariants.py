@@ -7,9 +7,9 @@ from dataclasses import replace
 
 import pytest
 
-from lschains import rootsys
+from lschains import invariants, rootsys
 from lschains.charoracle import weight_multiplicities, weyl_dim
-from lschains.errors import InputError
+from lschains.errors import InputError, InvariantViolation
 from lschains.invariants import (
     clear_caches,
     dominant_pool,
@@ -86,6 +86,25 @@ def test_clear_caches_empties_every_store_and_results_hold_cold():
     # root systems are identity singletons, not a memo: a clear keeps them
     assert build_root_system("G2") is R
     assert tensor_decompose(R, (1, 1), (2, 0)).components == warm
+
+
+def test_memo_store_is_read_and_filled_in_place():
+    calls = []
+
+    @rootsys.memo
+    def double(x):
+        calls.append(x)
+        return 2 * x
+
+    try:
+        assert (double(2), double(2), calls) == (4, 4, [2])
+        double.store[(3,)] = 7  # a value computed elsewhere, as a forked worker's
+        assert (double(3), calls) == (7, [2])
+        assert double.cache_info() == (2, 1, None, 2)
+        clear_caches()
+        assert double.cache_info() == (0, 0, None, 0)
+    finally:
+        rootsys._MEMO_STORES.remove(double)
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B2"])
@@ -189,16 +208,72 @@ def test_report_serialization_round_trip():
     assert data["rows"][0]["lhs"] <= data["rows"][0]["rhs"]
 
 
-@pytest.mark.parametrize("rn", [builtin("so_to_sp:2"), replace(builtin("so_to_sp:2"), name="")],
-                         ids=["builtin", "custom"])
-def test_parallel_rows_match_serial(monkeypatch, rn):
-    # a cpu count of 4 lets workers=3 start a pool on any runner
+@pytest.fixture
+def forking(monkeypatch):
+    # a cpu count of 4 lets workers=3 fork on any runner, and a share load of
+    # 1 forks the small sweeps below
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.delenv("LSCHAINS_MAX_WORKERS", raising=False)
-    tuples = sweep_tuples(dominant_pool(rn.source, 1), 2)
-    serial = verify_inequality(rn, tuples, workers=1)
-    parallel = verify_inequality(rn, tuples, workers=3)
+    monkeypatch.setattr(invariants, "_SHARE_LOAD", 1)
+
+
+@pytest.mark.parametrize("engine", ["chains", "oracle"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("rn", [builtin("so_to_sp:2"), replace(builtin("so_to_sp:2"), name="")],
+                         ids=["builtin", "custom"])
+def test_parallel_rows_match_serial(forking, rn, n, engine):
+    # pairs need no decomposition; triples and 4-tuples plan one and two levels
+    tuples = sweep_tuples(dominant_pool(rn.source, 1), n)
+    clear_caches()
+    parallel = verify_inequality(rn, tuples, engine, workers=3)
+    clear_caches()
+    serial = verify_inequality(rn, tuples, engine, workers=1)
     assert parallel.rows == serial.rows
+
+
+def test_a_unit_failing_in_a_worker_fails_the_sweep_and_leaves_no_child(forking, monkeypatch):
+    parent = os.getpid()
+    real = invariants.tensor_decompose
+
+    def failing_in_a_child(R, mu, nu):
+        if os.getpid() != parent:
+            raise InvariantViolation(f"planted failure at {mu} (x) {nu}")
+        return real(R, mu, nu)
+
+    monkeypatch.setattr(invariants, "tensor_decompose", failing_in_a_child)
+    rn = builtin("so_to_sp:2")
+    clear_caches()
+    with pytest.raises(InvariantViolation, match="planted failure at"):
+        verify_inequality(rn, sweep_tuples(dominant_pool(rn.source, 1), 3), workers=3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_sweep_plans_every_decomposition_it_needs(forking, monkeypatch):
+    rounds = []
+    real = invariants._evaluate
+    monkeypatch.setattr(invariants, "_evaluate",
+                        lambda units, workers: rounds.append(units) or real(units, workers))
+    rn = builtin("so_to_sp:2")
+    clear_caches()
+    verify_inequality(rn, sweep_tuples(dominant_pool(rn.source, 1), 4), workers=3)
+    # 4-tuples fold in n - 2 = 2 levels, and the rows are assembled from the plan alone
+    assert len(rounds) == 2
+    assert set(itertools.chain(*rounds)) == set(invariants._pair_components.store)
+
+
+def test_a_repeated_sweep_forks_nothing(forking, monkeypatch):
+    forks = []
+    real = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+    rn = builtin("so_to_sp:2")
+    tuples = sweep_tuples(dominant_pool(rn.source, 1), 4)
+    clear_caches()
+    first = verify_inequality(rn, tuples, workers=3)
+    assert forks
+    forks.clear()
+    assert verify_inequality(rn, tuples, workers=3) == first
+    assert forks == []
 
 
 def test_worker_env_cap(monkeypatch):
@@ -272,9 +347,11 @@ def test_saturation_scan_validates_arguments():
         saturation_scan(2, 0, 1)
 
 
-def test_saturation_parallel_rows_match_serial(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.delenv("LSCHAINS_MAX_WORKERS", raising=False)
-    serial = saturation_scan(2, 2, 1, workers=1)
-    parallel = saturation_scan(2, 2, 1, workers=3)
+@pytest.mark.parametrize("engine", ["chains", "oracle"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_saturation_parallel_rows_match_serial(forking, n, engine):
+    clear_caches()
+    parallel = saturation_scan(2, n, 1, engine, workers=3)
+    clear_caches()
+    serial = saturation_scan(2, n, 1, engine, workers=1)
     assert parallel.rows == serial.rows
