@@ -11,6 +11,7 @@ with the W-invariant form written through root lengths and pairings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
 from .errors import InvariantViolation
 from .pathmodel import TensorDecomposition
@@ -63,13 +64,13 @@ def weight_multiplicities(R: RootSystem, lam) -> WeightMultiplicityTable:
 
 @memo
 def _weight_multiplicities(R: RootSystem, lam: Weight) -> WeightMultiplicityTable:
-    mults: dict[Weight, int] = {lam: 1}
+    entries = dict.fromkeys(weyl_orbit(R, lam), 1)
     for nu, n in _dominant_weights(R, lam)[1:]:
         total = 0
         for r in R.positive_roots:
             w = tuple(x + a for x, a in zip(nu, r.fund))
-            # the rep of w lies strictly above nu, so it is filled iff w is a weight
-            while (m := mults.get(R.dominant_rep(w))) is not None:
+            # the rep of w lies strictly above nu, so w is filled iff it is a weight
+            while (m := entries.get(w)) is not None:
                 total += m * r.d * R.pairing_root(w, r.index)
                 w = tuple(x + a for x, a in zip(w, r.fund))
         # |lam+rho|^2 - |nu+rho|^2 = (lam - nu, lam + nu + 2 rho)
@@ -77,12 +78,7 @@ def _weight_multiplicities(R: RootSystem, lam: Weight) -> WeightMultiplicityTabl
         value, rem = divmod(2 * total, denom)
         if rem or value <= 0:
             raise InvariantViolation(f"Freudenthal failure at {nu} in V({lam}), {R.label}")
-        mults[nu] = value
-
-    entries: dict[Weight, int] = {}
-    for nu, m in mults.items():
-        for w in weyl_orbit(R, nu):
-            entries[w] = m
+        entries.update(dict.fromkeys(weyl_orbit(R, nu), value))
     table = WeightMultiplicityTable(lam, entries)
     if sum(entries.values()) != weyl_dim(R, lam):
         raise InvariantViolation(f"multiplicity table of {lam} in {R.label} misses dimension")
@@ -90,17 +86,15 @@ def _weight_multiplicities(R: RootSystem, lam: Weight) -> WeightMultiplicityTabl
 
 
 def _fold_with_sign(R: RootSystem, v: Weight) -> tuple[int, Weight | None]:
-    """Reflect v to the dominant chamber tracking the sign; None on a wall."""
+    """Reflect v to the dominant chamber with its sign (-1)^l(w); (0, None) on a wall."""
     sign = 1
-    v = tuple(v)
-    while True:
-        if any(x == 0 for x in v):
-            return 0, None
-        i = next((k for k, x in enumerate(v) if x < 0), None)
-        if i is None:
+    while 0 not in v:
+        i = v.index(min(v))  # a negative v[i] lowers the length by one
+        if v[i] > 0:
             return sign, v
         v = R.reflect_root(v, i)
         sign = -sign
+    return 0, None
 
 
 def tensor_decompose_oracle(R: RootSystem, mu, nu) -> TensorDecomposition:
@@ -114,12 +108,12 @@ def tensor_decompose_oracle(R: RootSystem, mu, nu) -> TensorDecomposition:
     small, big = (mu, nu) if weyl_dim(R, mu) <= weyl_dim(R, nu) else (nu, mu)
     table = weight_multiplicities(R, small)
     rho = R.weyl_vector
+    shift = tuple(map(add, big, rho))
     comps: dict[Weight, int] = {}
     for eta, m in table.entries.items():
-        shifted = tuple(b + e + r for b, e, r in zip(big, eta, rho))
-        sign, folded = _fold_with_sign(R, shifted)
+        sign, folded = _fold_with_sign(R, tuple(map(add, shift, eta)))
         if sign:
-            lam = tuple(f - r for f, r in zip(folded, rho))
+            lam = tuple(map(sub, folded, rho))
             comps[lam] = comps.get(lam, 0) + sign * m
     comps = {k: v for k, v in sorted(comps.items()) if v != 0}
     if any(v < 0 for v in comps.values()):

@@ -221,13 +221,17 @@ def _cmd_roots(args):
     return payload, lines, False
 
 
+def _check_budget_sign(budget: int) -> None:
+    if budget < 0:
+        raise InputError(f"--max-chains must be nonnegative, got {budget}")
+
+
 def _check_chain_budget(R, shape, budget: int) -> int:
     """dim V(shape), the number of chains of shape, known before any is walked.
 
     InputError when it is over the --max-chains budget.
     """
-    if budget < 0:
-        raise InputError(f"--max-chains must be nonnegative, got {budget}")
+    _check_budget_sign(budget)
     dim = weyl_dim(R, shape)
     if dim > budget:
         raise InputError(f"{R.label} shape {_wstr(shape)} has {dim} chains, "
@@ -246,6 +250,7 @@ def _check_fold_budget(R, ws, budget: int) -> None:
     For up to five weights, invariant_dim walks no shape larger than one of
     the weights below the two largest by (weyl_dim, weight).
     """
+    _check_budget_sign(budget)
     for w in sorted(ws, key=lambda w: (weyl_dim(R, w), w))[:-2]:
         _check_chain_budget(R, w, budget)
 

@@ -266,15 +266,15 @@ def _fork(share: list[tuple]):
     return pid, os.fdopen(r, "rb")
 
 
-def _evaluate(units: list[tuple], workers: int | None) -> None:
-    """Fill the _pair_components store with every unit.
+def _evaluate(units: list[tuple], workers: int) -> None:
+    """Fill the _pair_components store with every unit, in at most `workers` shares.
 
     The parent computes the first share itself and each other share runs in
     a forked child.  A child's exception is raised again here.  Every child
     is reaped on every path; on a failure the ones still running are killed
     first.
     """
-    shares = _deal(units, effective_workers(workers))
+    shares = _deal(units, workers)
     children = []
     done = False
     try:
@@ -303,13 +303,16 @@ def _sweep(rows, engine: str, workers: int | None) -> list[list[int]]:
     """[[invariant_dim(R, ws, engine) for R, ws in row] for row in rows].
 
     Plan and evaluate until the folds of every query are cached (at most n - 2
-    rounds for n-fold queries), then assemble the values in row order.
+    rounds for n-fold queries), then assemble the values in row order from the
+    keys checked once.
     """
     _check_engine(engine)
+    workers = effective_workers(workers)  # checked even when every fold is cached
     keys = [(R, tuple(sorted(_check_tuple(R, ws))), engine) for row in rows for R, ws in row]
     while units := _plan(keys):
         _evaluate(units, workers)
-    return [[invariant_dim(R, ws, engine) for R, ws in row] for row in rows]
+    values = (_inv(*key) for key in keys)
+    return [[next(values) for _ in row] for row in rows]
 
 
 def _images(rn: Renormalization, items) -> list[tuple[Weight, ...]]:

@@ -177,10 +177,11 @@ def delta_sequence(chain: LSChain) -> tuple[RationalWeight, ...]:
     return tuple(out)
 
 
-def _integral(w: RationalWeight, what: str) -> Weight:
-    if any(x.denominator != 1 for x in w):
-        raise InvariantViolation(f"{what} {w} is not an integral weight")
-    return tuple(int(x) for x in w)
+def _integral(scaled: Weight, L: int, what: str) -> Weight:
+    """scaled / L, which must be integral."""
+    if any(x % L for x in scaled):
+        raise InvariantViolation(f"{what} {tuple(Q(x, L) for x in scaled)} is not an integral weight")
+    return tuple(x // L for x in scaled)
 
 
 def chain_endpoint(chain: LSChain) -> Weight:
@@ -194,10 +195,19 @@ def chain_depth(chain: LSChain) -> Weight:
 
 
 def chain_weights(chain: LSChain) -> tuple[Weight, Weight]:
-    """(chain_endpoint, chain_depth) from one delta_sequence."""
-    deltas = delta_sequence(chain)
-    return (_integral(deltas[-1], "chain endpoint"),
-            _integral(tuple(map(min, zip(*deltas))), "chain depth"))
+    """(chain_endpoint, chain_depth): the delta sequence in ints, scaled by L.
+
+    L is the lcm of the cut denominators, so every L * b and L * delta_t is an
+    integer; the chain's weights are the endpoint and running minimum over L.
+    """
+    L = lcm(*(b.denominator for b in chain.cuts))
+    delta = low = (0,) * len(chain.shape)
+    prev = 0
+    for step, cut in zip(chain.steps, [L // b.denominator * b.numerator for b in chain.cuts] + [L]):
+        delta = tuple([d + (cut - prev) * s for d, s in zip(delta, step)])
+        low = tuple(map(min, low, delta))
+        prev = cut
+    return _integral(delta, L, "chain endpoint"), _integral(low, L, "chain depth")
 
 
 @memo

@@ -227,6 +227,9 @@ class RootSystem:
             for i in range(rank)
         )
         self.cartan = cartan
+        # the Dynkin neighbours (j, a_ij) of each node i, which a simple reflection moves
+        self._neighbours = tuple(tuple((j, a) for j, a in enumerate(row) if a and j != i)
+                                 for i, row in enumerate(cartan))
         self.cartan_inv: Mat = inverse(mat(cartan))
         # normalize the form so the shortest root has squared length 2
         min_len = min(_dot(a, a) for a in amb)
@@ -282,6 +285,12 @@ class RootSystem:
         return sum(c * x for c, x in zip(p, w))
 
     def reflect_root(self, w, root_index: int):
+        if root_index < self.rank:  # <w, alpha_i_v> = w[i]; alpha_i.fund is cartan row i
+            m, v = w[root_index], list(w)
+            v[root_index] = -m
+            for j, a in self._neighbours[root_index]:
+                v[j] -= m * a
+            return tuple(v)
         r = self.positive_roots[root_index]
         m = self.pairing_root(w, root_index)
         return tuple(x - m * a for x, a in zip(w, r.fund))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lschains import clear_caches
 from lschains.charoracle import (
+    _fold_with_sign,
     tensor_decompose_oracle,
     weight_multiplicities,
     weyl_dim,
@@ -152,7 +153,18 @@ def _cross_engine_shapes():
     return shapes
 
 
-@pytest.mark.parametrize("label,lam", _cross_engine_shapes())
+# the first four tensor-oracle benchmark pool weights of B4, C4 and D5, and a
+# minuscule or quasi-minuscule weight of E6, E7 and F4
+_POOL_SHAPES = [
+    ("B4", (1, 0, 0, 0)), ("B4", (0, 0, 0, 1)), ("B4", (0, 1, 0, 0)), ("B4", (2, 0, 0, 0)),
+    ("C4", (1, 0, 0, 0)), ("C4", (0, 1, 0, 0)), ("C4", (2, 0, 0, 0)), ("C4", (0, 0, 0, 1)),
+    ("D5", (1, 0, 0, 0, 0)), ("D5", (0, 0, 0, 0, 1)), ("D5", (0, 0, 0, 1, 0)),
+    ("D5", (0, 1, 0, 0, 0)),
+    ("E6", (1, 0, 0, 0, 0, 0)), ("E7", (0, 0, 0, 0, 0, 0, 1)), ("F4", (0, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("label,lam", _cross_engine_shapes() + _POOL_SHAPES)
 def test_table_is_the_path_model_character(label, lam):
     # the endpoints of the LS chains of shape lam are the weights of V(lam)
     R = build_root_system(label)
@@ -217,6 +229,29 @@ def test_product_with_trivial():
     lam = (1, 0, 1)
     dec = tensor_decompose_oracle(R, lam, (0, 0, 0))
     assert dec.components == {lam: 1}
+
+
+def _first_negative_fold(R, v):
+    """The fold by definition: reflect at the first negative coordinate, by the coroot formula."""
+    sign = 1
+    while True:
+        if any(x == 0 for x in v):
+            return 0, None
+        i = next((k for k, x in enumerate(v) if x < 0), None)
+        if i is None:
+            return sign, v
+        alpha = R.positive_roots[i]
+        m = sum(c * x for c, x in zip(alpha.coroot, v))
+        v = tuple(x - m * a for x, a in zip(v, alpha.fund))
+        sign = -sign
+
+
+@given(st.sampled_from(["A3", "B3", "C4", "D5", "E6", "E8", "F4", "G2"]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_fold_with_sign_is_the_first_negative_fold(label, data):
+    R = build_root_system(label)
+    v = data.draw(st.tuples(*[st.integers(-5, 5)] * R.rank))
+    assert _fold_with_sign(R, v) == _first_negative_fold(R, v)
 
 
 def test_product_is_symmetric():

@@ -140,6 +140,8 @@ def test_tensor_walks_the_smaller_factor_in_either_order(capsys):
     ("mult", "A1", "0", *["99999999999999999998"] * 3),
     ("invdim", "A1", *["99999999999999999998"] * 3),
     ("invdim", "A1", *["99999999999999999998"] * 3, "--engine", "oracle"),
+    ("invdim", "A1", "1", "1", "--max-chains", "-1"),
+    ("invdim", "A1", "1", "1", "--max-chains", "-1", "--engine", "oracle"),
 ])
 def test_products_over_the_chain_budget_fail_before_walking(capsys, argv):
     start = time.monotonic()

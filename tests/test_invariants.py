@@ -302,6 +302,15 @@ def test_worker_env_cap_must_be_an_integer(monkeypatch):
         effective_workers(2)
 
 
+def test_a_cached_sweep_still_checks_the_worker_cap(monkeypatch):
+    rn = builtin("g2")
+    tuples = sweep_tuples(dominant_pool(rn.source, 1), 3)
+    verify_inequality(rn, tuples)
+    monkeypatch.setenv("LSCHAINS_MAX_WORKERS", "abc")
+    with pytest.raises(InputError, match="LSCHAINS_MAX_WORKERS"):
+        verify_inequality(rn, tuples, workers=2)
+
+
 # ---------------------------------------------------------------------------
 # saturation scan
 

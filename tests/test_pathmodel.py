@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from lschains import clear_caches, pathmodel
 from lschains.charoracle import tensor_decompose_oracle, weyl_dim
 from lschains.errors import InputError, InvariantViolation
+from lschains.invariants import dominant_pool
 from lschains.pathmodel import (
     LSChain,
     _walk,
@@ -25,6 +26,7 @@ from lschains.pathmodel import (
     b_order_leq,
     chain_depth,
     chain_endpoint,
+    chain_weights,
     delta_sequence,
     enumerate_ls_chains,
     tensor_decompose,
@@ -214,6 +216,21 @@ def test_depth_of_lowest_chain():
     c = LSChain((1, 1), ((-1, -1),), ())
     assert chain_depth(c) == (-1, -1)
     assert chain_endpoint(c) == (-1, -1)
+
+
+def test_chain_weights_are_the_delta_sequence_endpoint_and_minimum():
+    # the ls-chain-sanity plan at its default bound: chain_weights runs on scaled
+    # ints, delta_sequence on Fractions
+    checked = 0
+    for label, bound in [("A1", 2), ("A2", 2), ("B2", 2), ("G2", 2),
+                         ("A3", 1), ("B3", 1), ("C3", 1)]:
+        R = build_root_system(label)
+        for shape in dominant_pool(R, bound, "coords"):
+            for chain in enumerate_ls_chains(R, shape):
+                deltas = delta_sequence(chain)
+                assert chain_weights(chain) == (deltas[-1], tuple(map(min, zip(*deltas))))
+                checked += 1
+    assert checked == 3445
 
 
 def test_delta_alternative_expression():

@@ -179,6 +179,17 @@ def test_reflection_is_involution(w, idx):
     assert reflect(R, reflect(R, w, idx), idx) == w
 
 
+@given(st.sampled_from(ALL_LABELS), st.data())
+def test_simple_reflection_is_the_coroot_formula(label, data):
+    # reflect_root moves only node i and its Dynkin neighbours; the definition moves all
+    R = build_root_system(label)
+    w = data.draw(st.tuples(*[st.integers(-6, 6)] * R.rank))
+    for i in range(R.rank):
+        alpha = R.positive_roots[i]
+        m = sum(c * x for c, x in zip(alpha.coroot, w))
+        assert R.reflect_root(w, i) == tuple(x - m * a for x, a in zip(w, alpha.fund))
+
+
 @given(st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
 def test_dominant_rep_idempotent_and_orbit_stable(w):
     R = build_root_system("G2")
