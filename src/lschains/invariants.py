@@ -4,18 +4,20 @@ The n-fold invariant dimension [l1, ..., ln] is the dimension of the
 invariant subspace of V(l1) (x) ... (x) V(ln).  It is computed by a fold:
 decompose the smallest factor against the largest, recurse on each
 component with the other factors.  The base cases are [l] = 1 iff l = 0
-and [l, m] = 1 iff m is the dual of l.
+and [l, m] = 1 iff m is the dual of l, so a triple [a, b, c] needs one
+coefficient, the multiplicity of V(b*) in V(a) (x) V(c).
 
 Sweeps compare source-side invariant dimensions against target-side ones
 through a renormalization; the inequality under test is lhs <= rhs on
-every tuple.  A sweep plans, then evaluates.  The plan is every pair
-decomposition the folds of its rows need and no cache holds, level by
-level.  The units are grouped by chain shape and dealt over the parent and
-forked workers; each computes a distinct share, and the parent keeps every
-result in its cache.  A plan too small to pay for a fork stays in the
-parent.  The parent then assembles the rows from its warm cache in tuple
-order, so rows do not depend on the worker count.  This holds for any
-renormalization, builtin or custom.
+every tuple.  A sweep plans, then evaluates.  The plan is every unit the
+folds of its rows need and no cache holds, level by level: a pair unit
+(a whole decomposition) for each fold step of four or more factors, a
+coefficient unit for each triple.  The units are grouped by chain shape
+and dealt over the parent and forked workers; each computes a distinct
+share, and the parent keeps every result in its cache.  A plan too small
+to pay for a fork stays in the parent.  The parent then assembles the rows
+from its warm cache in tuple order, so rows do not depend on the worker
+count.  This holds for any renormalization, builtin or custom.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 from .charoracle import tensor_decompose_oracle
 from .errors import InputError
-from .pathmodel import tensor_decompose
+from .pathmodel import tensor_decompose, tensor_multiplicity
 from .renorm import Renormalization, builtin, map_weight
 from .rootsys import (RootSystem, Weight, _weyl_dim, clear_caches, dominant_weight, dual_weight,
                       memo)
@@ -64,20 +66,34 @@ def _check_engine(engine: str) -> None:
 
 
 @memo
-def _pair_components(R: RootSystem, small: Weight, big: Weight, engine: str) -> dict[Weight, int]:
-    """V(small) (x) V(big) by the engine: one unit of a sweep's plan."""
+def _unit(R: RootSystem, small: Weight, big: Weight, engine: str, *lam: Weight):
+    """One unit of a sweep's plan, by the engine.
+
+    A pair unit (no lam) is V(small) (x) V(big) as {component: multiplicity}; a
+    coefficient unit is the multiplicity of V(lam) in it.  The chain engine
+    counts a coefficient by its walk aimed at lam; the oracle reads it off the
+    pair unit, so one decomposition serves every coefficient of the pair.
+    """
     if engine == "chains":
+        if lam:
+            return tensor_multiplicity(R, *lam, small, big)
         return tensor_decompose(R, small, big).components
+    if lam:
+        return _unit(R, small, big, engine).get(*lam, 0)
     return tensor_decompose_oracle(R, small, big).components
 
 
 def _fold_step(R: RootSystem, ws: tuple[Weight, ...], engine: str):
-    """The pair unit one fold step of ws decomposes, and the factors left beside it.
+    """The unit one fold step of ws needs, and the factors left beside it.
 
     The smallest factor by (weyl_dim, weight) is the chain shape, the largest
-    the floor that prunes it.
+    the floor that prunes it.  [small, mid, big] is the multiplicity of
+    V(mid*) in V(small) (x) V(big), a coefficient unit with nothing left
+    beside it; a longer ws needs the pair unit.
     """
     small, *rest, big = sorted(ws, key=lambda w: (_weyl_dim(R, w), w))
+    if len(rest) == 1:
+        return (R, small, big, engine, dual_weight(R, rest[0])), []
     return (R, small, big, engine), rest
 
 
@@ -90,8 +106,9 @@ def _inv(R: RootSystem, ws: tuple[Weight, ...], engine: str) -> int:
     if len(ws) == 2:
         return 1 if ws[1] == dual_weight(R, ws[0]) else 0
     unit, rest = _fold_step(R, ws, engine)
-    return sum(m * _inv(R, tuple(sorted((nu, *rest))), engine)
-               for nu, m in _pair_components(*unit).items())
+    if not rest:
+        return _unit(*unit)
+    return sum(m * _inv(R, tuple(sorted((nu, *rest))), engine) for nu, m in _unit(*unit).items())
 
 
 def invariant_dim(R: RootSystem, weights, engine: str = "chains") -> int:
@@ -186,7 +203,7 @@ def effective_workers(workers: int | None) -> int:
 
 
 def _plan(keys) -> list[tuple]:
-    """The pair units the folds of keys (R, ws, engine) need that no cache holds.
+    """The units the folds of keys (R, ws, engine) need that no cache holds.
 
     A fold step whose unit is cached is followed to the next level; one whose
     unit is missing stops there, so evaluating the plan and planning again
@@ -202,31 +219,38 @@ def _plan(keys) -> list[tuple]:
         seen.add(key)
         R, ws, engine = key
         unit, rest = _fold_step(R, ws, engine)
-        comps = _pair_components.store.get(unit)
-        if comps is None:
+        if unit not in _unit.store:
             units[unit] = None
-        elif len(ws) > 3:  # a pair left beside each component needs no unit
-            todo.extend((R, tuple(sorted((nu, *rest))), engine) for nu in comps)
+        elif rest:  # a pair unit: each component folds on with the rest
+            todo.extend((R, tuple(sorted((nu, *rest))), engine) for nu in _unit.store[unit])
     return list(units)
 
 
-# The least load (weyl_dim of the chain shape, summed over units) worth a
-# share of its own: about 0.15 to 0.4 s of work.  On 2 vCPUs (Xeon, 2.1 GHz,
-# Python 3.11), two processes forked for less ran slower than one.
+# The least load (weyl_dim of the chain shape, summed over the work of
+# _deal) worth a share of its own.  On 2 vCPUs (Xeon, 2.1 GHz, Python 3.11)
+# that is about 0.15 to 0.4 s of pair decompositions and 0.02 s of chain
+# coefficients; the G2 triple sweep at bound 2 (load 50,427) ran as fast in
+# two processes as in one, and pair units forked for less ran slower.
 _SHARE_LOAD = 40_000
 
 
 def _deal(units: list[tuple], n: int) -> list[list[tuple]]:
     """units grouped by chain shape (R, small), dealt greedily into at most n shares.
 
-    A group weighs weyl_dim(small) per unit, and goes to the lightest share.
-    There is one share per _SHARE_LOAD of the total, and at least one.
+    A group weighs weyl_dim(small) per walk or decomposition it makes: the
+    chain engine walks once per unit, the oracle decomposes once per pair
+    (R, small, big), whatever coefficients of it the units read.  Each group
+    goes to the lightest share.  There is one share per _SHARE_LOAD of the
+    total, and at least one.
     """
     groups: dict[tuple, list[tuple]] = {}
     for unit in units:
         groups.setdefault(unit[:2], []).append(unit)
-    weighed = sorted(((_weyl_dim(*shape) * len(g), g) for shape, g in groups.items()),
-                     key=lambda item: -item[0])
+    weighed = []
+    for shape, g in groups.items():
+        work = {u if u[3] == "chains" else u[:4] for u in g}
+        weighed.append((_weyl_dim(*shape) * len(work), g))
+    weighed.sort(key=lambda item: -item[0])
     total = sum(load for load, _ in weighed)
     count = max(1, min(n, len(groups), total // _SHARE_LOAD))
     shares: list[list[tuple]] = [[] for _ in range(count)]
@@ -239,10 +263,10 @@ def _deal(units: list[tuple], n: int) -> list[list[tuple]]:
 
 
 def _fork(share: list[tuple]):
-    """A child that computes share's components and pickles them down a pipe.
+    """A child that computes share's units and pickles them down a pipe.
 
-    Returns (pid, the pipe's read end).  The child sends (True, [components
-    per unit]) or (False, the exception a unit raised), all or nothing, and
+    Returns (pid, the pipe's read end).  The child sends (True, [value per
+    unit]) or (False, the exception a unit raised), all or nothing, and
     always ends in os._exit.  The package starts no threads, so forking it
     is safe, and the child starts from the parent's warm caches.
     """
@@ -253,7 +277,7 @@ def _fork(share: list[tuple]):
         try:
             os.close(r)
             try:
-                result = (True, [_pair_components(*unit) for unit in share])
+                result = (True, [_unit(*unit) for unit in share])
             except Exception as exc:
                 result = (False, exc)
             data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
@@ -267,7 +291,7 @@ def _fork(share: list[tuple]):
 
 
 def _evaluate(units: list[tuple], workers: int) -> None:
-    """Fill the _pair_components store with every unit, in at most `workers` shares.
+    """Fill the _unit store with every unit, in at most `workers` shares.
 
     The parent computes the first share itself and each other share runs in
     a forked child.  A child's exception is raised again here.  Every child
@@ -281,7 +305,7 @@ def _evaluate(units: list[tuple], workers: int) -> None:
         for share in shares[1:]:
             children.append(_fork(share))
         for unit in shares[0]:
-            _pair_components(*unit)
+            _unit(*unit)
         for (pid, pipe), share in zip(children, shares[1:]):
             try:
                 ok, payload = pickle.load(pipe)
@@ -289,7 +313,7 @@ def _evaluate(units: list[tuple], workers: int) -> None:
                 raise ChildProcessError(f"sweep worker {pid} ended without a result") from None
             if not ok:
                 raise payload
-            _pair_components.store.update(zip(share, payload))
+            _unit.store.update(zip(share, payload))
         done = True
     finally:
         for pid, pipe in children:

@@ -23,6 +23,11 @@ nu + delta_t dominant at every cut, nu the other factor: the walk starts
 from L * nu and drops a prefix once a coordinate goes negative, so its cost
 follows the multiplicities, not dim V(mu).  Full enumeration is the same walk under a
 floor no partial sum reaches.  LSChain objects are built only on request.
+
+One multiplicity needs only the chains that end at lam - nu.  The same walk,
+given that endpoint as its goal, also drops a prefix once the rest of the
+chain cannot reach it: from a step x the rest adds a convex combination of x
+and what x climbs to, bounded on every coroot by a per-shape reach table.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import islice
 from math import gcd, lcm
-from operator import add, floordiv, ge, itemgetter, mod
+from operator import add, floordiv, ge, itemgetter, mod, mul, sub
 from typing import NamedTuple
 
 from .errors import InputError, InvariantViolation
@@ -107,29 +112,71 @@ def _walker(R: RootSystem, mu: Weight) -> _Walker:
     return _Walker(P, L, [c for c, _ in farey], up)
 
 
-def _walk(W: _Walker, nu: Weight) -> list[tuple[tuple, tuple, Weight, Weight]]:
+@memo
+def _reach(R: RootSystem, mu: Weight) -> tuple[list[Weight], list[tuple[Weight, Weight]]]:
+    """The pairings of each step of mu's walk with the positive coroots, and their reach.
+
+    pairings[x] is <x, alpha_v> over the positive roots, simple ones first, so
+    it starts with x itself.  reach[x] is the (min, max) of each pairing over x
+    and every step a chain can climb to from x.  A chain climbs only through
+    b-orders with b in (0, 1), whose covers all have m >= 2, so that set is the
+    closure of those covers.  The covers are sorted by their lower element,
+    which comes after its upper one, so one pass meets every upper element
+    finished.  Only walks aimed at an endpoint read this, so it is built apart
+    from _walker, on the first of them.
+    """
+    P = _walker(R, mu).poset
+    pairings = [tuple(sum(map(mul, r.coroot, w)) for r in R.positive_roots) for w in P.elements]
+    lo, hi = list(pairings), list(pairings)
+    for c in P.covers:
+        if c.m >= 2:
+            lo[c.lower] = tuple(map(min, lo[c.lower], lo[c.upper]))
+            hi[c.lower] = tuple(map(max, hi[c.lower], hi[c.upper]))
+    return pairings, list(zip(lo, hi))
+
+
+def _walk(W: _Walker, nu: Weight, goal: Weight | None = None
+          ) -> list[tuple[tuple, tuple, Weight, Weight]]:
     """(step indices, cut indices, endpoint, depth) of each chain with nu + depth dominant.
 
     L * (nu + delta_t) is linear in the cut c ending the step: once outside the
     cone it stays out at every later cut, and once the endpoint is inside, every
     cut is.  Each chain completed has its endpoint and depth checked integral.
+
+    With a goal, only the chains ending at it are kept.  The rest of a chain
+    entered at step x with L * delta = s at cut c0 adds (L - c0) times a convex
+    combination of x and the steps above it, so a prefix whose L * goal - s
+    pairs with some coroot outside (L - c0) * [lo, hi] of x's reach is dropped.
+    The walk then runs on the pairings with every positive coroot, whose first
+    rank entries are the fundamental coordinates.
     """
     P, L, _, up = W
-    elements = P.elements
+    n = len(nu)
+    vecs, target = P.elements, None
+    if goal is not None:
+        vecs, reach = _reach(P.system, P.base)
+        target = tuple(L * sum(map(mul, r.coroot, goal)) for r in P.system.positive_roots)
     floor = tuple(-L * a for a in nu)
-    Ls = (L,) * (2 * len(nu))
+    Ls, Ln = (L,) * (len(vecs[0]) + n), (L,) * n
     out = []
 
     def walk(x: int, first: int, c0: int, steps: tuple, ks: tuple, s: tuple, low: tuple):
         # x starts at scaled cut c0 with L * delta = s (low: its running min); next cut index >= first
-        w = elements[x]
-        end = tuple([a + (L - c0) * b for a, b in zip(s, w)])
+        w = vecs[x]
+        r = L - c0
+        if target is not None:
+            for t, b, a, h in zip(target, s, *reach[x]):
+                if not r * a <= t - b <= r * h:
+                    return
+        end = tuple([a + r * b for a, b in zip(s, w)])
         inside = all(map(ge, end, floor))
         if inside:
             depth = tuple(map(min, low, end))
             if any(map(mod, end + depth, Ls)):
                 raise InvariantViolation(f"chain {steps}, {ks} of {P.base} is not integral")
-            out.append((steps, ks, tuple(map(floordiv, end, Ls)), tuple(map(floordiv, depth, Ls))))
+            if target is None or end == target:
+                out.append((steps, ks, tuple(map(floordiv, end, Ln)),
+                            tuple(map(floordiv, depth, Ln))))
         for k, c, ys in islice(up[x], bisect_left(up[x], first, key=itemgetter(0)), None):
             dc = c - c0
             s2 = tuple([a + dc * b for a, b in zip(s, w)])
@@ -139,9 +186,9 @@ def _walk(W: _Walker, nu: Weight) -> list[tuple[tuple, tuple, Weight, Weight]]:
             for y in ys:
                 walk(y, k + 1, c, steps + (y,), ks + (k,), s2, low2)
 
-    zero = (0,) * len(nu)
-    for x in range(len(elements)):
-        walk(x, 0, 0, (x,), (), zero, zero)
+    zero = (0,) * len(vecs[0])
+    for x in range(len(vecs)):
+        walk(x, 0, 0, (x,), (), zero, zero[:n])
     return out
 
 
@@ -228,9 +275,19 @@ class TensorDecomposition:
 
 
 def tensor_multiplicity(R: RootSystem, lam, mu, nu) -> int:
-    """Multiplicity of V(lam) in V(mu) (x) V(nu), read off tensor_decompose."""
+    """Multiplicity of V(lam) in V(mu) (x) V(nu), by a walk aimed at one endpoint.
+
+    It counts the chains of the shape that tensor_decompose walks with nu + depth
+    dominant and endpoint lam - nu, nu the other factor; the walk drops every
+    prefix that can no longer end there, so it visits few of the other chains.
+    Only the chains this walk completes have their endpoint and depth checked
+    integral; tensor_decompose checks every chain it counts.
+    """
     lam = dominant_weight(R, lam, "target weight")
-    return tensor_decompose(R, mu, nu).multiplicity(lam)
+    mu = dominant_weight(R, mu, "first factor")
+    nu = dominant_weight(R, nu, "second factor")
+    shape, other = sorted((mu, nu), key=lambda w: (weyl_dim(R, w), w))
+    return len(_walk(_walker(R, shape), other, tuple(map(sub, lam, other))))
 
 
 def tensor_decompose(R: RootSystem, mu, nu) -> TensorDecomposition:

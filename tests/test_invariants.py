@@ -231,20 +231,24 @@ def test_parallel_rows_match_serial(forking, rn, n, engine):
     assert parallel.rows == serial.rows
 
 
-def test_a_unit_failing_in_a_worker_fails_the_sweep_and_leaves_no_child(forking, monkeypatch):
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_unit_failing_in_a_worker_fails_the_sweep_and_leaves_no_child(forking, monkeypatch, n):
+    # triples plan coefficient units only; 4-tuples plan pair units, then coefficient units
     parent = os.getpid()
-    real = invariants.tensor_decompose
 
-    def failing_in_a_child(R, mu, nu):
-        if os.getpid() != parent:
-            raise InvariantViolation(f"planted failure at {mu} (x) {nu}")
-        return real(R, mu, nu)
+    def failing_in_a_child(real):
+        def unit(R, *factors):
+            if os.getpid() != parent:
+                raise InvariantViolation(f"planted failure at {factors}")
+            return real(R, *factors)
+        return unit
 
-    monkeypatch.setattr(invariants, "tensor_decompose", failing_in_a_child)
+    for entry in ("tensor_decompose", "tensor_multiplicity"):
+        monkeypatch.setattr(invariants, entry, failing_in_a_child(getattr(invariants, entry)))
     rn = builtin("so_to_sp:2")
     clear_caches()
     with pytest.raises(InvariantViolation, match="planted failure at"):
-        verify_inequality(rn, sweep_tuples(dominant_pool(rn.source, 1), 3), workers=3)
+        verify_inequality(rn, sweep_tuples(dominant_pool(rn.source, 1), n), workers=3)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -259,7 +263,23 @@ def test_a_sweep_plans_every_decomposition_it_needs(forking, monkeypatch):
     verify_inequality(rn, sweep_tuples(dominant_pool(rn.source, 1), 4), workers=3)
     # 4-tuples fold in n - 2 = 2 levels, and the rows are assembled from the plan alone
     assert len(rounds) == 2
-    assert set(itertools.chain(*rounds)) == set(invariants._pair_components.store)
+    assert set(itertools.chain(*rounds)) == set(invariants._unit.store)
+
+
+@pytest.mark.parametrize("engine", ["chains", "oracle"])
+def test_deal_weighs_chain_units_per_walk_and_oracle_units_per_pair(monkeypatch, engine):
+    # on G2, weyl_dim (1, 0) = 7 and (0, 1) = 14.  One pair of the 7-dim shape
+    # read as itself and four coefficients: five walks (35) through chains, one
+    # decomposition (7) through the oracle.  One pair of the 14-dim shape: 14.
+    G2 = build_root_system("G2")
+    light = [(G2, (1, 0), (2, 2), engine)]
+    light += [(G2, (1, 0), (2, 2), engine, lam) for lam in ((1, 2), (2, 1), (3, 2), (2, 2))]
+    heavy = [(G2, (0, 1), (2, 2), engine)]
+    monkeypatch.setattr(invariants, "_SHARE_LOAD", 1)  # the heaviest group goes first
+    assert invariants._deal(light + heavy, 2) == ([light, heavy] if engine == "chains"
+                                                  else [heavy, light])
+    monkeypatch.setattr(invariants, "_SHARE_LOAD", 22)  # loads 49 and 21
+    assert len(invariants._deal(light + heavy, 2)) == (2 if engine == "chains" else 1)
 
 
 def test_a_repeated_sweep_forks_nothing(forking, monkeypatch):

@@ -21,6 +21,7 @@ from lschains.errors import InputError, InvariantViolation
 from lschains.invariants import dominant_pool
 from lschains.pathmodel import (
     LSChain,
+    _reach,
     _walk,
     _walker,
     b_order_leq,
@@ -33,7 +34,7 @@ from lschains.pathmodel import (
     tensor_multiplicity,
 )
 from lschains.ratmat import inverse, matvec
-from lschains.rootsys import build_root_system, weyl_orbit_poset
+from lschains.rootsys import build_root_system, pairing, weyl_orbit_poset
 
 
 def _brute_leq(poset, xi, yi, b):
@@ -310,6 +311,9 @@ def test_non_integral_chain_raises(monkeypatch):
         # nu + delta_t dominant, so the chain is counted and checked
         with pytest.raises(InvariantViolation):
             tensor_decompose(A1, (2,), (3,))
+        # the same chain is the one the walk aimed at (4,) = (3,) + endpoint (1,) keeps
+        with pytest.raises(InvariantViolation):
+            tensor_multiplicity(A1, (4,), (2,), (3,))
     finally:
         clear_caches()  # drop the walker built under the mis-scaled _farey
 
@@ -404,7 +408,8 @@ SMALL_PAIRS = st.sampled_from(["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3"]).
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3"])
 def test_pruned_decomposition_matches_filtered_full_enumeration(label):
-    # the counting rule applied after the fact to every chain of the shape
+    # the counting rule applied after the fact to every chain of the shape, against
+    # the pruned decomposition and the count aimed at one endpoint
     R = build_root_system(label)
     shapes = _small_shapes(label)
     for mu in shapes:
@@ -414,6 +419,63 @@ def test_pruned_decomposition_matches_filtered_full_enumeration(label):
             kept = Counter(tuple(map(add, nu, end)) for _, _, end, depth in full
                            if all(n + d >= 0 for n, d in zip(nu, depth)))
             assert tensor_decompose(R, mu, nu).components == kept
+            if (weyl_dim(R, mu), mu) > (weyl_dim(R, nu), nu):
+                continue  # nu is the shape: its own pass checks the aimed count
+            for lam, m in kept.items():
+                assert tensor_multiplicity(R, lam, mu, nu) == m
+            # a dominant weight some chain ends at that the dominance filter drops
+            missed = sorted({lam for lam in (tuple(map(add, nu, end)) for _, _, end, _ in full)
+                             if R.is_dominant(lam) and lam not in kept})
+            lam = missed[0] if missed else tuple(a + b + 1 for a, b in zip(mu, nu))
+            assert tensor_multiplicity(R, lam, mu, nu) == tensor_multiplicity(R, lam, nu, mu) == 0
+
+
+@pytest.mark.parametrize("label,mu,nu", [
+    ("G2", (3, 3), (1, 0)), ("G2", (2, 1), (0, 0)), ("B3", (1, 1, 1), (0, 1, 0)),
+    ("C3", (0, 2, 1), (1, 0, 1)),
+])
+def test_aimed_walk_keeps_exactly_the_chains_ending_at_the_goal(label, mu, nu):
+    R = build_root_system(label)
+    W = _walker(R, mu)
+    full = sorted(_walk(W, nu))
+    for goal in sorted({end for _, _, end, _ in full}) + [(0,) * R.rank, tuple(-a for a in mu)]:
+        assert sorted(_walk(W, nu, goal)) == [c for c in full if c[2] == goal]
+
+
+def _brute_reach(R, poset):
+    """Min and max pairings over x and all it climbs to through covers with m >= 2, by BFS."""
+    ups = {}
+    for cov in poset.covers:
+        if cov.m >= 2:
+            ups.setdefault(cov.lower, []).append(cov.upper)
+    out = []
+    for x in range(len(poset.elements)):
+        seen, stack = {x}, [x]
+        while stack:
+            for y in ups.get(stack.pop(), []):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        pairs = [[pairing(R, poset.elements[y], i) for i in range(len(R.positive_roots))]
+                 for y in seen]
+        out.append((tuple(map(min, zip(*pairs))), tuple(map(max, zip(*pairs)))))
+    return out
+
+
+@pytest.mark.parametrize("label,mu", [
+    ("A2", (1, 1)), ("B2", (1, 0)), ("B2", (0, 1)), ("B2", (1, 1)),
+    ("G2", (1, 0)), ("G2", (1, 1)), ("A3", (1, 0, 1)), ("B3", (1, 0, 1)),
+    ("C3", (0, 1, 1)), ("D4", (1, 0, 1, 1)), ("F4", (0, 0, 0, 1)), ("G2", (2, 1)),
+])
+def test_reach_table_against_brute_force_closure(label, mu):
+    # the shapes of test_covers_against_brute_force
+    R = build_root_system(label)
+    poset = weyl_orbit_poset(R, mu)
+    pairings, reach = _reach(R, mu)
+    assert pairings == [tuple(pairing(R, w, i) for i in range(len(R.positive_roots)))
+                        for w in poset.elements]
+    assert all(p[:R.rank] == w for p, w in zip(pairings, poset.elements))
+    assert reach == _brute_reach(R, poset)
 
 
 @given(SMALL_PAIRS)
