@@ -18,7 +18,9 @@ from math import gcd
 from .charoracle import tensor_decompose_oracle, weyl_dim
 from .errors import InputError, InvariantViolation
 from .invariants import (
+    _fork_map,
     dominant_pool,
+    effective_workers,
     frobenius_check,
     saturation_scan,
     sweep_tuples,
@@ -252,6 +254,11 @@ CRITERIA: dict[str, tuple] = {
 DEFAULT_BOUNDS = {name: bound for name, (_, bound) in CRITERIA.items()}
 
 
+def _check_bound(bound: int) -> None:
+    if bound < 0:
+        raise InputError("bound must be nonnegative")
+
+
 def run_criterion(
     name: str,
     bound: int | None = None,
@@ -263,8 +270,7 @@ def run_criterion(
         raise InputError(f"unknown criterion {name!r}; known: {', '.join(CRITERIA)}")
     func, default_bound = entry
     b = default_bound if bound is None else bound
-    if b < 0:
-        raise InputError("bound must be nonnegative")
+    _check_bound(b)
     start = time.monotonic()
     try:
         passed, detail = func(b, engine, workers)
@@ -277,11 +283,28 @@ def run_all(
     config: dict[str, int] | None = None,
     engine: str = "chains",
     workers: int | None = None,
+    names: list[str] | None = None,
 ) -> tuple[CriterionResult, ...]:
+    """Run the named criteria (default: all), in their order, with config's bounds.
+
+    The names are dealt round-robin into one share per worker, at most one per
+    name; each share runs in its own process.  Every criterion keeps `workers`
+    for its own sweeps.  Names, bounds and the worker cap are checked before
+    any criterion runs.
+    """
     config = dict(config or {})
-    for key in config:
+    names = list(CRITERIA if names is None else names)
+    for key in [*names, *config]:
         if key not in CRITERIA:
             raise InputError(f"unknown criterion {key!r}; known: {', '.join(CRITERIA)}")
-    return tuple(
-        run_criterion(name, config.get(name), engine, workers) for name in CRITERIA
-    )
+    for bound in config.values():
+        _check_bound(bound)
+    n = max(1, min(effective_workers(workers), len(names)))
+
+    def run(share):
+        return [run_criterion(name, config.get(name), engine, workers) for name in share]
+
+    results = [None] * len(names)
+    for i, done in enumerate(_fork_map(run, [names[i::n] for i in range(n)])):
+        results[i::n] = done
+    return tuple(results)

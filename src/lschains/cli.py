@@ -2,9 +2,10 @@
 
 Every subcommand prints an aligned text report by default and a versioned
 JSON document with --json; --out additionally writes whichever form was
-printed to a file.  Exit status: 0 success, 1 input error, 2 when a sweep
-finds violations or an internal invariant breaks.  A reader that closes the
-pipe early (`| head`) cuts the report short without an error.
+printed to a file.  Exit status: 0 success, 1 input error or a worker
+process that ended without a result, 2 when a sweep finds violations or an
+internal invariant breaks.  A reader that closes the pipe early (`| head`)
+cuts the report short without an error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import sys
 from fractions import Fraction as Q
 
-from .acceptance import CRITERIA, run_criterion
+from .acceptance import run_all
 from .charoracle import tensor_decompose_oracle, weyl_dim
 from .errors import InputError, InvariantViolation
 from .invariants import (
@@ -82,9 +83,9 @@ def _add_engine(p):
                    help="tensor decomposition engine (default: chains)")
 
 
-def _add_workers(p):
+def _add_workers(p, what="parallel workers for the sweep"):
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers for the sweep (capped by the CPU count and LSCHAINS_MAX_WORKERS)")
+                   help=f"{what} (capped by the CPU count and LSCHAINS_MAX_WORKERS)")
 
 
 def _add_max_chains(p, what: str):
@@ -188,7 +189,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--bound", action="append", default=None, metavar="NAME=VALUE",
                    help="override a criterion's sweep bound (repeatable)")
     _add_engine(p)
-    _add_workers(p)
+    _add_workers(p, "processes the criteria are dealt over, round-robin; each criterion's "
+                    "sweeps may use as many again, so at most N*N run at once")
     _add_common(p)
 
     return top
@@ -457,11 +459,7 @@ def _cmd_accept(args):
             config[name] = int(value)
         except ValueError:
             raise InputError(f"--bound value in {item!r} is not an integer")
-    names = args.criterion or list(CRITERIA)
-    for name in [*names, *config]:
-        if name not in CRITERIA:
-            raise InputError(f"unknown criterion {name!r}; known: {', '.join(CRITERIA)}")
-    results = tuple(run_criterion(n, config.get(n), args.engine, args.workers) for n in names)
+    results = run_all(config, args.engine, args.workers, args.criterion)
     lines = [r.line() for r in results]
     failed = [r for r in results if not r.passed]
     lines.append(f"{len(results) - len(failed)}/{len(results)} criteria passed")
@@ -496,7 +494,7 @@ def main(argv=None) -> int:
         payload, lines, violated = _HANDLERS[args.command](args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except InputError as exc:
+    except (InputError, ChildProcessError) as exc:  # ChildProcessError: a worker died
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:

@@ -262,65 +262,64 @@ def _deal(units: list[tuple], n: int) -> list[list[tuple]]:
     return shares
 
 
-def _fork(share: list[tuple]):
-    """A child that computes share's units and pickles them down a pipe.
+def _fork_map(fn, shares: list) -> list:
+    """[fn(share) for share in shares]: the first share here, each other in a forked child.
 
-    Returns (pid, the pipe's read end).  The child sends (True, [value per
-    unit]) or (False, the exception a unit raised), all or nothing, and
-    always ends in os._exit.  The package starts no threads, so forking it
-    is safe, and the child starts from the parent's warm caches.
+    Each child pickles (True, its result) or (False, the exception fn raised)
+    down a pipe, all or nothing, and always ends in os._exit; its exception is
+    raised again here, and a child that ends without a result raises
+    ChildProcessError.  Every child is reaped on every path; on a failure the
+    ones still running are killed first.  One share forks nothing.  The
+    package starts no threads, so forking it is safe, and a child starts from
+    the parent's warm caches.
     """
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            try:
-                result = (True, [_unit(*unit) for unit in share])
-            except Exception as exc:
-                result = (False, exc)
-            data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-            with os.fdopen(w, "wb") as out:
-                out.write(data)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, os.fdopen(r, "rb")
-
-
-def _evaluate(units: list[tuple], workers: int) -> None:
-    """Fill the _unit store with every unit, in at most `workers` shares.
-
-    The parent computes the first share itself and each other share runs in
-    a forked child.  A child's exception is raised again here.  Every child
-    is reaped on every path; on a failure the ones still running are killed
-    first.
-    """
-    shares = _deal(units, workers)
     children = []
     done = False
     try:
         for share in shares[1:]:
-            children.append(_fork(share))
-        for unit in shares[0]:
-            _unit(*unit)
-        for (pid, pipe), share in zip(children, shares[1:]):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    try:
+                        result = (True, fn(share))
+                    except Exception as exc:
+                        result = (False, exc)
+                    data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+                    with os.fdopen(w, "wb") as out:
+                        out.write(data)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        results = [fn(shares[0])]
+        for pid, pipe in children:
             try:
                 ok, payload = pickle.load(pipe)
             except EOFError:
-                raise ChildProcessError(f"sweep worker {pid} ended without a result") from None
+                raise ChildProcessError(f"worker process {pid} ended without a result") from None
             if not ok:
                 raise payload
-            _unit.store.update(zip(share, payload))
+            results.append(payload)
         done = True
+        return results
     finally:
         for pid, pipe in children:
             pipe.close()
             if not done:
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def _evaluate(units: list[tuple], workers: int) -> None:
+    """Fill the _unit store with every unit, in at most `workers` shares (_deal)."""
+    shares = _deal(units, workers)
+    values = _fork_map(lambda share: [_unit(*unit) for unit in share], shares)
+    for share, vals in zip(shares[1:], values[1:]):
+        _unit.store.update(zip(share, vals))
 
 
 def _sweep(rows, engine: str, workers: int | None) -> list[list[int]]:

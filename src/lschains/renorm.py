@@ -108,13 +108,11 @@ class RenormReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _reflection_matrix(R: RootSystem, root_index: int) -> Mat:
+def _reflection(R: RootSystem, root_index: int) -> tuple[tuple[int, ...], ...]:
+    """The reflection in a positive root, as an int matrix on fundamental coordinates."""
     r = R.positive_roots[root_index]
-    n = R.rank
-    return tuple(
-        tuple(Q((1 if i == j else 0) - r.fund[i] * r.coroot[j]) for j in range(n))
-        for i in range(n)
-    )
+    return tuple(tuple((i == j) - f * c for j, c in enumerate(r.coroot))
+                 for i, f in enumerate(r.fund))
 
 
 def _lattice_member(R: RootSystem, tag: str | None, w) -> bool:
@@ -175,12 +173,10 @@ def validate(rn: Renormalization) -> RenormReport:
             CheckResult("pairing-identity", not bad,
                         "" if not bad else f"fails at (root, basis) pairs {bad[:4]}")
         )
-        bad_eq = []
-        for i in range(len(rn.target.positive_roots)):
-            left = matmul(rn.phi, _reflection_matrix(rn.source, match[i]))
-            right = matmul(_reflection_matrix(rn.target, i), rn.phi)
-            if left != right:
-                bad_eq.append(i)
+        _, rows = rn._phi_int  # phi = rows / den, so phi S' = S phi iff rows S' = S rows
+        bad_eq = [i for i in range(len(rn.target.positive_roots))
+                  if matmul(rows, _reflection(rn.source, match[i]))
+                  != matmul(_reflection(rn.target, i), rows)]
         checks.append(
             CheckResult("weyl-equivariance", not bad_eq,
                         "" if not bad_eq else f"fails for target roots {bad_eq[:6]}")

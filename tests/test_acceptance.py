@@ -5,16 +5,17 @@ Each test prints the one-line PASS/FAIL summary for its criterion, so
 """
 
 import json
+import os
 from dataclasses import replace
 from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
 
-from lschains import acceptance, pathmodel, renorm
+from lschains import acceptance, invariants, pathmodel, renorm
 from lschains.acceptance import CRITERIA, DEFAULT_BOUNDS, _transport_shape, run_all, run_criterion
 from lschains.errors import InputError, InvariantViolation
-from lschains.invariants import dominant_pool
+from lschains.invariants import clear_caches, dominant_pool
 from lschains.pathmodel import LSChain, chain_weights, enumerate_ls_chains
 from lschains.renorm import builtin, transport_chain
 
@@ -77,6 +78,85 @@ def test_run_all_validates_configuration():
         run_criterion("oracle-equivalence", bound=-1)
     with pytest.raises(InputError):
         run_criterion("not-a-criterion")
+
+
+def test_run_all_checks_every_bound_before_any_criterion_runs(monkeypatch):
+    ran = []
+    monkeypatch.setattr(acceptance, "CRITERIA", {
+        "first": (lambda bound, engine, workers: ran.append(bound) or (True, ""), 1),
+        "second": (lambda bound, engine, workers: (True, ""), 1),
+    })
+    with pytest.raises(InputError, match="nonnegative"):
+        run_all({"second": -1})
+    assert ran == []
+
+
+# ---------------------------------------------------------------------------
+# parallel accept: criteria dealt round-robin over forked workers
+
+def _summary(results):
+    return [(r.name, r.passed, r.detail) for r in results]
+
+
+@pytest.mark.parametrize("engine", ["chains", "oracle"])
+def test_criteria_report_the_same_at_one_and_two_workers(four_cpus, engine):
+    clear_caches()
+    serial = run_all(engine=engine, workers=1)
+    clear_caches()
+    parallel = run_all(engine=engine, workers=2)
+    assert _summary(parallel) == _summary(serial)
+    reference = json.loads(REFERENCE.read_text())["full"]
+    assert _summary(parallel) == [(name, True, reference[name]) for name in CRITERION_NAMES]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_criteria_run_in_different_processes(four_cpus, monkeypatch):
+    def pid(bound, engine, workers):
+        return True, str(os.getpid())
+
+    monkeypatch.setattr(acceptance, "CRITERIA", {"a": (pid, 1), "b": (pid, 1)})
+    a, b = run_all(workers=2)
+    assert (a.name, b.name) == ("a", "b")
+    assert a.detail == str(os.getpid()) != b.detail
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_criteria_are_dealt_round_robin_and_reported_in_the_order_given(four_cpus, monkeypatch):
+    def pid(bound, engine, workers):
+        return True, str(os.getpid())
+
+    monkeypatch.setattr(acceptance, "CRITERIA", {name: (pid, 1) for name in "abcde"})
+    results = run_all(workers=3, names=["e", "a", "d", "b", "c"])
+    assert [r.name for r in results] == ["e", "a", "d", "b", "c"]
+    pids = [r.detail for r in results]
+    assert pids[0] == pids[3] == str(os.getpid())
+    assert pids[1] == pids[4] != pids[2] and len(set(pids)) == 3
+
+
+def test_a_forked_criterion_forks_its_own_sweep(forking, monkeypatch, tmp_path):
+    # a share load of 1 forks every sweep inside each criterion's worker; each
+    # process that deals a sweep appends its pid and share count to a log
+    log = tmp_path / "sweeps"
+    real = invariants._fork_map
+
+    def logged(fn, shares):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {len(shares)}\n")
+        return real(fn, shares)
+
+    monkeypatch.setattr(invariants, "_fork_map", logged)
+    config = {name: 1 for name in CRITERION_NAMES}
+    clear_caches()
+    serial = run_all(config, workers=1)
+    clear_caches()
+    log.unlink(missing_ok=True)
+    assert _summary(run_all(config, workers=2)) == _summary(serial)
+    sweeps = [line.split() for line in log.read_text().splitlines()]
+    assert any(pid != str(os.getpid()) and shares == "2" for pid, shares in sweeps)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_zero_bounds_are_vacuous_but_run():

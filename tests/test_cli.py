@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lschains import cli
+from lschains import acceptance, cli, invariants
 from lschains.invariants import VerificationReport, VerificationRow, invariant_dim
 from lschains.rootsys import build_root_system
 
@@ -280,6 +280,47 @@ def test_verify_rejects_non_integer_worker_cap(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "LSCHAINS_MAX_WORKERS" in err
+
+
+def test_accept_rejects_non_integer_worker_cap_before_any_criterion(capsys, monkeypatch):
+    monkeypatch.setenv("LSCHAINS_MAX_WORKERS", "abc")
+    code, out, err = run(capsys, "accept", "--workers", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "LSCHAINS_MAX_WORKERS" in err
+
+
+def _dies_in_a_child(real):
+    parent = os.getpid()
+
+    def fn(*args):
+        if os.getpid() != parent:
+            os._exit(1)  # as the OOM killer would leave it: no result in the pipe
+        return real(*args)
+    return fn
+
+
+def test_a_sweep_worker_that_dies_exits_1_without_a_traceback(capsys, monkeypatch, forking):
+    monkeypatch.setattr(invariants, "tensor_multiplicity",
+                        _dies_in_a_child(invariants.tensor_multiplicity))
+    invariants.clear_caches()
+    code, out, err = run(capsys, "verify", "so_to_sp:2", "--bound", "1", "--workers", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: worker process ") and "ended without a result" in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_accept_worker_that_dies_exits_1_without_a_traceback(capsys, monkeypatch, four_cpus):
+    passing = (_dies_in_a_child(lambda bound, engine, workers: (True, "ok")), 1)
+    monkeypatch.setattr(acceptance, "CRITERIA", {"here": passing, "there": passing})
+    code, out, err = run(capsys, "accept", "--workers", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: worker process ") and "ended without a result" in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_frobenius_sweep(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -208,13 +209,65 @@ def test_report_serialization_round_trip():
     assert data["rows"][0]["lhs"] <= data["rows"][0]["rhs"]
 
 
-@pytest.fixture
-def forking(monkeypatch):
-    # a cpu count of 4 lets workers=3 fork on any runner, and a share load of
-    # 1 forks the small sweeps below
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.delenv("LSCHAINS_MAX_WORKERS", raising=False)
-    monkeypatch.setattr(invariants, "_SHARE_LOAD", 1)
+def _assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_map_runs_the_first_share_here_and_each_other_in_a_child():
+    results = invariants._fork_map(lambda share: (share, os.getpid()), ["a", "b", "c"])
+    assert [share for share, _ in results] == ["a", "b", "c"]
+    pids = [pid for _, pid in results]
+    assert pids[0] == os.getpid() and len(set(pids)) == 3
+    _assert_no_child_is_left()
+
+
+def test_fork_map_with_one_share_forks_nothing(monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    assert invariants._fork_map(len, [[1, 2]]) == [2]
+
+
+def test_fork_map_raises_a_childs_exception_and_kills_the_others():
+    parent = os.getpid()
+
+    def fn(share):
+        if share == "fail":
+            raise InvariantViolation("planted in a child")
+        if share == "slow" and os.getpid() != parent:
+            time.sleep(60)  # killed, not waited for
+        return share
+
+    start = time.monotonic()
+    with pytest.raises(InvariantViolation, match="^planted in a child$"):
+        invariants._fork_map(fn, ["here", "fail", "slow"])
+    assert time.monotonic() - start < 30
+    _assert_no_child_is_left()
+
+
+def test_fork_map_kills_every_child_when_the_parents_share_fails():
+    def fn(share):
+        if share == "here":
+            raise InputError("planted in the parent")
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(InputError, match="planted in the parent"):
+        invariants._fork_map(fn, ["here", "slow", "slow"])
+    assert time.monotonic() - start < 30
+    _assert_no_child_is_left()
+
+
+def test_fork_map_reports_a_child_that_ends_without_a_result():
+    parent = os.getpid()
+
+    def fn(share):
+        if os.getpid() != parent:
+            os._exit(0)  # as the OOM killer would leave it: no result in the pipe
+        return share
+
+    with pytest.raises(ChildProcessError, match="ended without a result"):
+        invariants._fork_map(fn, ["here", "gone"])
+    _assert_no_child_is_left()
 
 
 @pytest.mark.parametrize("engine", ["chains", "oracle"])
@@ -249,8 +302,7 @@ def test_a_unit_failing_in_a_worker_fails_the_sweep_and_leaves_no_child(forking,
     clear_caches()
     with pytest.raises(InvariantViolation, match="planted failure at"):
         verify_inequality(rn, sweep_tuples(dominant_pool(rn.source, 1), n), workers=3)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    _assert_no_child_is_left()
 
 
 def test_a_sweep_plans_every_decomposition_it_needs(forking, monkeypatch):

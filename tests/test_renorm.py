@@ -10,6 +10,7 @@ from lschains.errors import InputError, InvariantViolation
 from lschains.pathmodel import LSChain, chain_depth, chain_endpoint, enumerate_ls_chains
 from lschains.ratmat import identity, matmul, matvec
 from lschains.renorm import (
+    CheckResult,
     Renormalization,
     builtin,
     builtin_catalog,
@@ -150,6 +151,47 @@ def test_wrong_c_breaks_root_matching_without_raising():
     assert not report.ok
     failed = {c.name for c in report.failures()}
     assert failed == {"root-bijection", "pairing-identity", "weyl-equivariance"}
+
+
+def _fraction_equivariance(rn, match):
+    """The weyl-equivariance check on Fraction matrices: phi S' == S phi per matched root."""
+    def reflection(R, k):
+        r = R.positive_roots[k]
+        n = R.rank
+        return tuple(tuple(Q((1 if i == j else 0) - r.fund[i] * r.coroot[j]) for j in range(n))
+                     for i in range(n))
+
+    bad = [i for i in range(len(rn.target.positive_roots))
+           if matmul(rn.phi, reflection(rn.source, match[i]))
+           != matmul(reflection(rn.target, i), rn.phi)]
+    return CheckResult("weyl-equivariance", not bad,
+                       "" if not bad else f"fails for target roots {bad[:6]}")
+
+
+def _equivariance(report):
+    return next(c for c in report.checks if c.name == "weyl-equivariance")
+
+
+@pytest.mark.parametrize("spec", builtin_catalog())
+def test_integer_equivariance_equals_the_fraction_reference(spec):
+    for rn in (builtin(spec), dual_renormalization(builtin(spec))):
+        check = _equivariance(validate(rn))
+        assert check.passed
+        assert check == _fraction_equivariance(rn, rn.root_match())
+
+
+def test_integer_equivariance_equals_the_fraction_reference_on_a_broken_match(monkeypatch):
+    # a custom so_to_sp:3 whose root matching is rotated by one: nine target
+    # roots, so the detail lists the first six that fail
+    rn = replace(builtin("so_to_sp:3"), name="")
+    real = rn.root_match()
+    rotated = real[1:] + real[:1]
+    monkeypatch.setattr(Renormalization, "root_match", lambda self: rotated)
+    report = validate(rn)
+    assert {c.name for c in report.failures()} == {"pairing-identity", "weyl-equivariance"}
+    check = _equivariance(report)
+    assert check == _fraction_equivariance(rn, rotated)
+    assert check.detail.startswith("fails for target roots [")
 
 
 def test_singular_map_fails_invertibility():
