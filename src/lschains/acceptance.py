@@ -129,16 +129,15 @@ def _f4_self(bound, engine, workers):
 
 
 def _transport_shape(rn, shape):
-    """The chains of shape and their images under phi, on orbit and Farey indices.
+    """The chains of shape and their images under phi, on orbit indices and scaled cuts.
 
-    A chain is the walker's (step indices, cut indices, endpoint, depth).  phi
+    A chain is the walker's (step indices, scaled cuts, endpoint, depth).  phi
     carries a source step to a target orbit index through map_weight, and a
-    scaled cut L_s * b to L_t * b in the target's cut table.  Each image is
-    checked as transport_chain checks it, and a failure raises the same
-    InvariantViolation: a step outside the target orbit, a consecutive pair
-    outside the b-order (a cut missing from the target's table has a
-    denominator no cover pairing is divisible by, so it fails here too), or
-    cuts that do not increase.
+    scaled cut L_s * b to L_t * b.  Each image is checked as transport_chain
+    checks it, and a failure raises the same InvariantViolation: a step outside
+    the target orbit, a consecutive pair outside the b-order (a cut L_t * b that
+    is not an int, or whose denominator no target cover pairing is divisible
+    by, fails here too), or cuts that do not increase.
 
     Returns the source and target walkers, the source chains in canonical
     order, their images as (steps, cuts), and {(steps, cuts): (endpoint,
@@ -146,33 +145,27 @@ def _transport_shape(rn, shape):
     """
     Ws = _walker(rn.source, shape)
     Wt = _walker(rn.target, map_weight(rn, shape))
-    Pt, Lt = Wt.poset, Wt.scale
+    Pt, Ls, Lt = Wt.poset, Ws.scale, Wt.scale
     step = [Pt.index.get(map_weight(rn, w)) for w in Ws.poset.elements]
-    target_cut = {c: k for k, c in enumerate(Wt.cuts)}
-    cut = []  # per source cut: (target cut index, target down masks at its denominator)
-    for c in Ws.cuts:
-        q, r = divmod(c * Lt, Ws.scale)
-        k = None if r else target_cut.get(q)
-        cut.append((k, None if k is None else Pt.down_mask(Lt // gcd(q, Lt))))
     chains = _walk_all(Ws)
     images = []
-    for steps, ks, _, _ in chains:
+    for steps, cs, _, _ in chains:
         ts = tuple(step[x] for x in steps)
         if None in ts:
             s = map_weight(rn, Ws.poset.elements[steps[ts.index(None)]])
             raise InvariantViolation(f"transported step {s} is outside the target orbit")
-        tks = []
-        for x, y, k in zip(ts, ts[1:], ks):
-            t, masks = cut[k]
-            if t is None or not (masks[y] >> x) & 1:
+        tcs = []
+        for x, y, c in zip(ts, ts[1:], cs):
+            t, r = divmod(c * Lt, Ls)
+            if r or not (Pt.down_mask(Lt // gcd(t, Lt))[y] >> x) & 1:
                 raise InvariantViolation(
                     f"transported relation {Pt.elements[x]} < {Pt.elements[y]} "
-                    f"fails at cut {Q(Ws.cuts[k], Ws.scale)}")
-            tks.append(t)
-        if any(b <= a for a, b in zip(tks, tks[1:])):
+                    f"fails at cut {Q(c, Ls)}")
+            tcs.append(t)
+        if any(b <= a for a, b in zip(tcs, tcs[1:])):
             raise InvariantViolation("cuts are not strictly increasing")
-        images.append((ts, tuple(tks)))
-    targets = {(steps, ks): (end, depth) for steps, ks, end, depth in _walk_all(Wt)}
+        images.append((ts, tuple(tcs)))
+    targets = {(steps, cs): (end, depth) for steps, cs, end, depth in _walk_all(Wt)}
     return Ws, Wt, chains, images, targets
 
 
@@ -186,15 +179,15 @@ def _chain_transport(bound, engine, workers):
                 return False, f"{spec}: transport not injective on shape {shape}"
             weights = {w for _, _, end, depth in chains for w in (end, depth)}
             phi = {w: map_weight(rn, w) for w in weights}
-            for (steps, ks, end, depth), key in zip(chains, images):
+            for (steps, cs, end, depth), key in zip(chains, images):
                 if key not in targets:
-                    c = _ls_chain(Ws, steps, ks)
+                    c = _ls_chain(Ws, steps, cs)
                     return False, f"{spec}: image of {c} is not a chain of the image shape"
                 t_end, t_depth = targets[key]
                 if t_end != phi[end]:
-                    return False, f"{spec}: endpoint does not commute on {_ls_chain(Ws, steps, ks)}"
+                    return False, f"{spec}: endpoint does not commute on {_ls_chain(Ws, steps, cs)}"
                 if t_depth != phi[depth]:
-                    return False, f"{spec}: depth does not commute on {_ls_chain(Ws, steps, ks)}"
+                    return False, f"{spec}: depth does not commute on {_ls_chain(Ws, steps, cs)}"
             total += len(chains)
     return True, f"{total} chains transported injectively; endpoint and depth commute"
 

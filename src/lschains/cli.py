@@ -39,7 +39,7 @@ from .renorm import (
     map_weight,
     validate,
 )
-from .rootsys import build_root_system, dual_weight, weight_from_eps
+from .rootsys import build_root_system, by_weyl_dim, dominant_weight, dual_weight, weight_from_eps
 
 SCHEMA = 1
 
@@ -243,17 +243,20 @@ def _check_chain_budget(R, shape, budget: int) -> int:
 
 def _check_product_budget(R, mu, nu, budget: int) -> None:
     """The tensor rule walks the smaller factor's chains: check that one."""
-    _check_chain_budget(R, min((mu, nu), key=lambda w: weyl_dim(R, w)), budget)
+    _check_chain_budget(R, by_weyl_dim(R, [dominant_weight(R, w) for w in (mu, nu)])[0], budget)
 
 
 def _check_fold_budget(R, ws, budget: int) -> None:
     """The invariant fold of ws: check every weight but the two largest.
 
-    For up to five weights, invariant_dim walks no shape larger than one of
-    the weights below the two largest by (weyl_dim, weight).
+    For any n weights, invariant_dim walks no shape of larger weyl_dim than one
+    checked.  By induction: a fold step walks its smallest weight, which is
+    checked, and leaves a component nu and the n - 2 middle weights, of which
+    the induction covers all but the two largest.  Adding nu only lowers their
+    order statistics, and the n - 3 smallest middle weights were checked.
     """
     _check_budget_sign(budget)
-    for w in sorted(ws, key=lambda w: (weyl_dim(R, w), w))[:-2]:
+    for w in by_weyl_dim(R, [dominant_weight(R, w) for w in ws])[:-2]:
         _check_chain_budget(R, w, budget)
 
 

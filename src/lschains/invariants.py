@@ -32,8 +32,8 @@ from .charoracle import tensor_decompose_oracle
 from .errors import InputError
 from .pathmodel import tensor_decompose, tensor_multiplicity
 from .renorm import Renormalization, builtin, map_weight
-from .rootsys import (RootSystem, Weight, _weyl_dim, clear_caches, dominant_weight, dual_weight,
-                      memo)
+from .rootsys import (RootSystem, Weight, _weyl_dim, by_weyl_dim, clear_caches, dominant_weight,
+                      dual_weight, memo)
 
 __all__ = [
     "invariant_dim",
@@ -91,7 +91,7 @@ def _fold_step(R: RootSystem, ws: tuple[Weight, ...], engine: str):
     V(mid*) in V(small) (x) V(big), a coefficient unit with nothing left
     beside it; a longer ws needs the pair unit.
     """
-    small, *rest, big = sorted(ws, key=lambda w: (_weyl_dim(R, w), w))
+    small, *rest, big = by_weyl_dim(R, ws)
     if len(rest) == 1:
         return (R, small, big, engine, dual_weight(R, rest[0])), []
     return (R, small, big, engine), rest

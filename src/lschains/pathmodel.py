@@ -12,17 +12,17 @@ give the endpoint omega = delta_{l+1} and the depth, whose i-th fundamental
 coordinate is min_t of the i-th coordinate of delta_t.  Both are integral;
 non-integrality raises InvariantViolation.
 
-A cut a/d in lowest terms has d dividing some cover pairing, so the cuts are
-the Farey fractions of order D, the largest pairing.  Enumeration runs on
-ints and walks upward: from the lowest step mu_0, each next step comes from
-the up lists (the transposes of OrbitPoset.down_mask) with a cut above the
-last one.  A cut is held as L * b, L = lcm(2..D), so L * delta_t is a running
-prefix sum and integrality a divisibility test by L.  The tensor rule walks
-the factor of smaller dimension as the shape mu, and counts chains with
-nu + delta_t dominant at every cut, nu the other factor: the walk starts
-from L * nu and drops a prefix once a coordinate goes negative, so its cost
-follows the multiplicities, not dim V(mu).  Full enumeration is the same walk under a
-floor no partial sum reaches.  LSChain objects are built only on request.
+A cut a/d in lowest terms is in a b-order only if d divides the pairing m >= 2 of
+a cover, so the cuts of a shape are those a/d, for the pairings that occur.
+Enumeration runs on ints and walks upward: from the lowest step mu_0, each next
+step comes from the up lists (the transposes of OrbitPoset.down_mask) with a cut
+above the last one.  A cut is held as L * b, L the lcm of those pairings, so
+L * delta_t is a running prefix sum and integrality a divisibility test by L.  The
+tensor rule walks the factor of smaller dimension as the shape mu, and counts
+chains with nu + delta_t dominant at every cut, nu the other factor: the walk
+starts from L * nu and drops a prefix once a coordinate goes negative, so its cost
+follows the multiplicities, not dim V(mu).  Full enumeration is the same walk
+under a floor no partial sum reaches.  LSChain objects are built only on request.
 
 One multiplicity needs only the chains that end at lam - nu.  The same walk,
 given that endpoint as its goal, also drops a prefix once the rest of the
@@ -32,7 +32,7 @@ and what x climbs to, bounded on every coroot by a per-shape reach table.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -42,8 +42,8 @@ from operator import add, floordiv, ge, itemgetter, mod, mul, sub
 from typing import NamedTuple
 
 from .errors import InputError, InvariantViolation
-from .rootsys import (OrbitPoset, RationalWeight, RootSystem, Weight, dominant_weight, memo,
-                      weyl_dim, weyl_orbit_poset)
+from .rootsys import (OrbitPoset, RationalWeight, RootSystem, Weight, by_weyl_dim, dominant_weight,
+                      memo, weyl_orbit_poset)
 
 __all__ = [
     "LSChain", "TensorDecomposition", "b_order_leq", "enumerate_ls_chains", "delta_sequence",
@@ -80,36 +80,35 @@ def b_order_leq(P: OrbitPoset, x: Weight, y: Weight, b) -> bool:
     return bool((P.down_mask(b.denominator)[yi] >> xi) & 1)
 
 
-def _farey(maxden: int) -> tuple[int, list[tuple[int, int]]]:
-    """L = lcm(2..maxden) and the sorted Farey cuts in (0, 1) as (L * b, denominator)."""
-    L = lcm(*range(1, maxden + 1))
-    return L, sorted((L // d * a, d) for d in range(2, maxden + 1)
-                     for a in range(1, d) if gcd(a, d) == 1)
+def _cuts(P: OrbitPoset) -> tuple[int, list[tuple[int, int]]]:
+    """L = lcm of cover pairings m >= 2, and the sorted cuts a/d, d | some m, as (L * a/d, d)."""
+    ms = {c.m for c in P.covers if c.m >= 2}
+    L = lcm(*ms)
+    dens = {d for m in ms for d in range(2, m + 1) if m % d == 0}
+    return L, sorted((L // d * a, d) for d in dens for a in range(1, d) if gcd(a, d) == 1)
 
 
 class _Walker(NamedTuple):
-    """One shape in ints: a step is an orbit index, a cut an index into `cuts`."""
+    """One shape in ints: a step is an orbit index, a cut b its scaled int L * b."""
 
     poset: OrbitPoset
-    scale: int  # L = lcm(2..D)
-    cuts: list[int]  # L * b for the sorted Farey cuts
-    up: list[list[tuple[int, int, list[int]]]]  # per step x: (k, L * b_k, steps y >_b_k x)
+    scale: int  # L, the lcm of the cover pairings m >= 2
+    up: list[list[tuple[int, list[int]]]]  # per step x, by increasing cut: (L * b, steps y >_b x)
 
 
 @memo
 def _walker(R: RootSystem, mu: Weight) -> _Walker:
     """mu's orbit poset with its up lists, the transposes of its down masks."""
     P = weyl_orbit_poset(R, mu)
-    L, farey = _farey(P.max_pairing)
-    above = {d: [[] for _ in P.elements] for _, d in farey}
+    L, cuts = _cuts(P)
+    above = {d: [[] for _ in P.elements] for _, d in cuts}
     for d, ups in above.items():
         for y, mask in enumerate(P.down_mask(d)):
             while mask:
                 ups[(mask & -mask).bit_length() - 1].append(y)
                 mask &= mask - 1
-    up = [[(k, c, above[d][x]) for k, (c, d) in enumerate(farey) if above[d][x]]
-          for x in range(len(P))]
-    return _Walker(P, L, [c for c, _ in farey], up)
+    up = [[(c, above[d][x]) for c, d in cuts if above[d][x]] for x in range(len(P))]
+    return _Walker(P, L, up)
 
 
 @memo
@@ -137,7 +136,7 @@ def _reach(R: RootSystem, mu: Weight) -> tuple[list[Weight], list[tuple[Weight, 
 
 def _walk(W: _Walker, nu: Weight, goal: Weight | None = None
           ) -> list[tuple[tuple, tuple, Weight, Weight]]:
-    """(step indices, cut indices, endpoint, depth) of each chain with nu + depth dominant.
+    """(step indices, scaled cuts, endpoint, depth) of each chain with nu + depth dominant.
 
     L * (nu + delta_t) is linear in the cut c ending the step: once outside the
     cone it stays out at every later cut, and once the endpoint is inside, every
@@ -150,7 +149,7 @@ def _walk(W: _Walker, nu: Weight, goal: Weight | None = None
     The walk then runs on the pairings with every positive coroot, whose first
     rank entries are the fundamental coordinates.
     """
-    P, L, _, up = W
+    P, L, up = W
     n = len(nu)
     vecs, target = P.elements, None
     if goal is not None:
@@ -160,8 +159,8 @@ def _walk(W: _Walker, nu: Weight, goal: Weight | None = None
     Ls, Ln = (L,) * (len(vecs[0]) + n), (L,) * n
     out = []
 
-    def walk(x: int, first: int, c0: int, steps: tuple, ks: tuple, s: tuple, low: tuple):
-        # x starts at scaled cut c0 with L * delta = s (low: its running min); next cut index >= first
+    def walk(x: int, c0: int, steps: tuple, cs: tuple, s: tuple, low: tuple):
+        # x starts at scaled cut c0 with L * delta = s (low: its running min)
         w = vecs[x]
         r = L - c0
         if target is not None:
@@ -173,43 +172,43 @@ def _walk(W: _Walker, nu: Weight, goal: Weight | None = None
         if inside:
             depth = tuple(map(min, low, end))
             if any(map(mod, end + depth, Ls)):
-                raise InvariantViolation(f"chain {steps}, {ks} of {P.base} is not integral")
+                raise InvariantViolation(f"chain {steps}, {cs} / {L} of {P.base} is not integral")
             if target is None or end == target:
-                out.append((steps, ks, tuple(map(floordiv, end, Ln)),
+                out.append((steps, cs, tuple(map(floordiv, end, Ln)),
                             tuple(map(floordiv, depth, Ln))))
-        for k, c, ys in islice(up[x], bisect_left(up[x], first, key=itemgetter(0)), None):
+        for c, ys in islice(up[x], bisect_right(up[x], c0, key=itemgetter(0)), None):
             dc = c - c0
             s2 = tuple([a + dc * b for a, b in zip(s, w)])
             if not inside and not all(map(ge, s2, floor)):
                 break
             low2 = tuple(map(min, low, s2))
             for y in ys:
-                walk(y, k + 1, c, steps + (y,), ks + (k,), s2, low2)
+                walk(y, c, steps + (y,), cs + (c,), s2, low2)
 
     zero = (0,) * len(vecs[0])
     for x in range(len(vecs)):
-        walk(x, 0, 0, (x,), (), zero, zero[:n])
+        walk(x, 0, (x,), (), zero, zero[:n])
     return out
 
 
 def _walk_all(W: _Walker) -> list[tuple[tuple, tuple, Weight, Weight]]:
-    """_walk output for every chain of the shape, in canonical (steps, cut indices) order."""
+    """_walk output for every chain of the shape, in canonical (steps, cuts) order."""
     # |delta_t| <= M in every coordinate, so the floor -L * M prunes nothing
     M = max(abs(a) for w in W.poset.elements for a in w)
     return sorted(_walk(W, (M,) * len(W.poset.base)))
 
 
-def _ls_chain(W: _Walker, steps: tuple, ks: tuple) -> LSChain:
+def _ls_chain(W: _Walker, steps: tuple, cs: tuple) -> LSChain:
     """The LSChain of one walked chain: orbit weights and Fraction cuts."""
     elements = W.poset.elements
     return LSChain(W.poset.base, tuple(elements[i] for i in steps),
-                   tuple(Q(W.cuts[k], W.scale) for k in ks))
+                   tuple(Q(c, W.scale) for c in cs))
 
 
 def enumerate_ls_chains(R: RootSystem, mu) -> tuple[LSChain, ...]:
     """All LS chains of shape mu, in canonical (steps, cuts) order."""
     W = _walker(R, dominant_weight(R, mu))
-    return tuple(_ls_chain(W, steps, ks) for steps, ks, _, _ in _walk_all(W))
+    return tuple(_ls_chain(W, steps, cs) for steps, cs, _, _ in _walk_all(W))
 
 
 def delta_sequence(chain: LSChain) -> tuple[RationalWeight, ...]:
@@ -286,7 +285,7 @@ def tensor_multiplicity(R: RootSystem, lam, mu, nu) -> int:
     lam = dominant_weight(R, lam, "target weight")
     mu = dominant_weight(R, mu, "first factor")
     nu = dominant_weight(R, nu, "second factor")
-    shape, other = sorted((mu, nu), key=lambda w: (weyl_dim(R, w), w))
+    shape, other = by_weyl_dim(R, (mu, nu))
     return len(_walk(_walker(R, shape), other, tuple(map(sub, lam, other))))
 
 
@@ -298,7 +297,7 @@ def tensor_decompose(R: RootSystem, mu, nu) -> TensorDecomposition:
     """
     mu = dominant_weight(R, mu, "first factor")
     nu = dominant_weight(R, nu, "second factor")
-    shape, other = sorted((mu, nu), key=lambda w: (weyl_dim(R, w), w))
+    shape, other = by_weyl_dim(R, (mu, nu))
     return TensorDecomposition(mu, nu, dict(sorted(_decompose_components(R, shape, other).items())))
 
 

@@ -427,7 +427,6 @@ class OrbitPoset:
                         covers.append(Cover(low, up, r.index, m))
         covers.sort()
         self.covers: tuple[Cover, ...] = tuple(covers)
-        self.max_pairing = max((c.m for c in covers), default=0)
         self._cover_children: list[list[Cover]] = [[] for _ in elements]
         for c in covers:
             self._cover_children[c.upper].append(c)
@@ -477,6 +476,11 @@ def _weyl_dim(R: RootSystem, lam: Weight) -> int:
     if rem:
         raise InvariantViolation(f"non-integral Weyl dimension for {lam} in {R.label}")
     return dim
+
+
+def by_weyl_dim(R: RootSystem, ws) -> list[Weight]:
+    """Dominant weights ws sorted by (weyl_dim, weight): the smallest is what a product walks."""
+    return sorted(ws, key=lambda w: (_weyl_dim(R, w), w))
 
 
 def weyl_orbit(R: RootSystem, mu) -> tuple[Weight, ...]:

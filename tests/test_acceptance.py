@@ -57,8 +57,8 @@ def test_ls_chain_sanity_fails_on_a_fractional_endpoint(monkeypatch):
     # moving the cut of the A1 chain (-2,) < (2,) from 1/2 to 1/3 puts its endpoint at 2/3
     real = pathmodel._ls_chain
 
-    def moved(W, steps, ks):
-        chain = real(W, steps, ks)
+    def moved(W, steps, cs):
+        chain = real(W, steps, cs)
         if chain.shape == (2,) and chain.cuts == (Q(1, 2),):
             return replace(chain, cuts=(Q(1, 3),))
         return chain
@@ -176,13 +176,13 @@ def test_integer_transport_equals_transport_chain(spec):
         Ws, Wt, chains, images, targets = _transport_shape(rn, shape)
         sources = enumerate_ls_chains(rn.source, shape)
         assert len(chains) == len(images) == len(sources)
-        for (steps, ks, _, _), (ts, tks), c in zip(chains, images, sources):
+        for (steps, cs, _, _), (ts, tcs), c in zip(chains, images, sources):
             assert tuple(Ws.poset.elements[i] for i in steps) == c.steps
-            assert tuple(Q(Ws.cuts[k], Ws.scale) for k in ks) == c.cuts
+            assert tuple(Q(c_, Ws.scale) for c_ in cs) == c.cuts
             moved = transport_chain(rn, c)
             assert tuple(Wt.poset.elements[i] for i in ts) == moved.steps
-            assert tuple(Q(Wt.cuts[k], Wt.scale) for k in tks) == moved.cuts
-            assert targets[ts, tks] == chain_weights(moved)
+            assert tuple(Q(c_, Wt.scale) for c_ in tcs) == moved.cuts
+            assert targets[ts, tcs] == chain_weights(moved)
             checked += 1
     assert checked == {"g2": 1394, "frobenius:A2:2": 84}[spec]  # 1478 in all, as `accept` reports
 

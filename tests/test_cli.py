@@ -1,5 +1,6 @@
 """Command line interface: output shapes, JSON contract, exit codes."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -9,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from lschains import acceptance, cli, invariants
+from lschains import acceptance, cli, clear_caches, invariants, pathmodel
 from lschains.invariants import VerificationReport, VerificationRow, invariant_dim
-from lschains.rootsys import build_root_system
+from lschains.rootsys import build_root_system, weyl_dim
 
 
 def run(capsys, *argv):
@@ -122,7 +123,7 @@ def test_tensor_lists_components(capsys):
 
 
 def test_tensor_walks_the_smaller_factor_in_either_order(capsys):
-    # as the chain shape, 10**20 - 1 would need a Farey table of that order
+    # as the chain shape, 10**20 - 1 would need a cut a/d for each d dividing it: 10**20 - 2 cuts
     n = 10**20 - 1
     want = [{"weight": [n + k], "multiplicity": 1} for k in (-3, -1, 1, 3)]
     for args in ((str(n), "3"), ("3", str(n))):
@@ -171,6 +172,26 @@ def test_multi_factor_budget_skips_the_two_largest_weights(capsys, argv, value):
     argv = [a.replace("N", "99999999999999999998") for a in argv]
     code, out, err = run(capsys, "mult", "A1", *argv)
     assert (code, out.strip(), err) == (0, value, "")
+
+
+@pytest.mark.parametrize("label", ["A2", "B2"])
+def test_fold_budget_covers_every_shape_walked_for_six_and_seven_weights(monkeypatch, label):
+    # the induction in _check_fold_budget's docstring, past the five weights it once claimed
+    R = build_root_system(label)
+    walked, checked = [], []
+    walker = pathmodel._walker
+    monkeypatch.setattr(pathmodel, "_walker", lambda R, mu: walked.append(mu) or walker(R, mu))
+    monkeypatch.setattr(cli, "_check_chain_budget", lambda R, w, budget: checked.append(w))
+    pool = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)]
+    for n in (6, 7):
+        for ws in itertools.islice(itertools.combinations_with_replacement(pool, n), 0, None, 11):
+            clear_caches()
+            walked.clear()
+            checked.clear()
+            cli._check_fold_budget(R, ws, 0)
+            invariant_dim(R, ws)
+            assert walked and len(checked) == n - 2
+            assert max(weyl_dim(R, mu) for mu in walked) <= max(weyl_dim(R, w) for w in checked)
 
 
 def test_eps_weight_syntax(capsys):

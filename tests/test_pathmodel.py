@@ -57,9 +57,8 @@ def brute_chains(R, mu):
     """Every (steps, cuts) pair that satisfies the definition, by exhaustion."""
     poset = weyl_orbit_poset(R, mu)
     n = len(poset.elements)
-    bvals = sorted(
-        {Q(a, d) for d in range(2, poset.max_pairing + 1) for a in range(1, d)}
-    )
+    top = max((c.m for c in poset.covers), default=0)
+    bvals = sorted({Q(a, d) for d in range(2, top + 1) for a in range(1, d)})
     sequences = [[k] for k in range(n)]
     frontier = [[k] for k in range(n)]
     while frontier:
@@ -291,18 +290,32 @@ def test_packed_endpoint_and_depth_match_fraction_path(label, mu):
         assert (end, depth) == (chain_endpoint(chain), chain_depth(chain))
 
 
-def test_cut_scale_is_lcm_up_to_the_farey_order():
+def test_cut_scale_is_lcm_of_the_cover_pairings():
+    # a Farey table up to the largest pairing, 15, would be scaled by lcm(2..15) = 360360
     W = _walker(build_root_system("G2"), (3, 3))
-    assert W.poset.max_pairing == 15
-    assert W.scale == 360360
-    assert 0 < W.cuts[0] and W.cuts[-1] < W.scale
-    assert W.cuts == sorted(W.cuts)
+    assert sorted({c.m for c in W.poset.covers if c.m >= 2}) == [3, 6, 9, 12, 15]
+    L, cuts = pathmodel._cuts(W.poset)
+    assert W.scale == L == 180
+    cs = [c for c, _ in cuts]
+    assert 0 < cs[0] and cs[-1] < L
+    assert all(a < b for a, b in zip(cs, cs[1:]))
+    assert {Q(c, L) for c in cs} == {Q(a, d) for d in (2, 3, 4, 5, 6, 9, 12, 15)
+                                     for a in range(1, d)}
+    for ups in W.up:
+        assert all(a < b for (a, _), (b, _) in zip(ups, ups[1:]))
+
+
+def test_a1_cut_table_is_scaled_by_its_one_pairing():
+    # a Farey table up to 2000 would be scaled by lcm(2..2000), a 2,878-bit int
+    A1 = build_root_system("A1")
+    assert _walker(A1, (2000,)).scale == 2000
+    assert len(tensor_decompose(A1, (2000,), (2000,)).components) == 2001
 
 
 def test_non_integral_chain_raises(monkeypatch):
     # with L doubled, the scaled cut 1 reads b = 1/4, not 1/2: A1 (2,) gets depth -1/2
     clear_caches()
-    monkeypatch.setattr(pathmodel, "_farey", lambda maxden: (4, [(1, 2)]))
+    monkeypatch.setattr(pathmodel, "_cuts", lambda P: (4, [(1, 2)]))
     A1 = build_root_system("A1")
     try:
         with pytest.raises(InvariantViolation):
@@ -315,7 +328,7 @@ def test_non_integral_chain_raises(monkeypatch):
         with pytest.raises(InvariantViolation):
             tensor_multiplicity(A1, (4,), (2,), (3,))
     finally:
-        clear_caches()  # drop the walker built under the mis-scaled _farey
+        clear_caches()  # drop the walker built under the mis-scaled cut table
 
 
 def test_dominant_initial_step_has_zero_depth():
