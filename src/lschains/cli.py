@@ -26,12 +26,7 @@ from .invariants import (
     sweep_tuples,
     verify_inequality,
 )
-from .pathmodel import (
-    chain_record,
-    enumerate_ls_chains,
-    tensor_decompose,
-    tensor_multiplicity,
-)
+from .pathmodel import _walk_all, _walker, tensor_decompose, tensor_multiplicity
 from .renorm import (
     builtin,
     builtin_catalog,
@@ -266,10 +261,13 @@ def _cmd_chains(args):
     R = build_root_system(args.type)
     shape = parse_weight(R, args.shape)
     dim = _check_chain_budget(R, shape, args.max_chains)
-    chains = enumerate_ls_chains(R, shape)
+    W = _walker(R, shape)
+    chains = _walk_all(W)
     lines = [f"{R.label} shape {_wstr(shape)}: {len(chains)} chains (dim V = {dim})"]
     shown = chains if args.limit is None else chains[: args.limit]
-    records = [chain_record(c) for c in shown]
+    records = [{"shape": list(shape), "steps": [list(W.poset.elements[x]) for x in steps],
+                "cuts": [str(Q(c, W.scale)) for c in cs], "omega": list(end), "delta": list(depth)}
+               for steps, cs, end, depth in shown]
     for rec in records:
         steps = " > ".join(_wstr(s) for s in reversed(rec["steps"]))
         cuts = ",".join(rec["cuts"]) or "-"

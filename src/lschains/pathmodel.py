@@ -27,7 +27,8 @@ under a floor no partial sum reaches.  LSChain objects are built only on request
 One multiplicity needs only the chains that end at lam - nu.  The same walk,
 given that endpoint as its goal, also drops a prefix once the rest of the
 chain cannot reach it: from a step x the rest adds a convex combination of x
-and what x climbs to, bounded on every coroot by a per-shape reach table.
+and what x climbs to, bounded on every coroot by a per-shape reach table built
+from the orbit poset's own table of pairings.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import islice
 from math import gcd, lcm
-from operator import add, floordiv, ge, itemgetter, mod, mul, sub
+from operator import add, floordiv, ge, itemgetter, mod, sub
 from typing import NamedTuple
 
 from .errors import InputError, InvariantViolation
@@ -48,7 +49,6 @@ from .rootsys import (OrbitPoset, RationalWeight, RootSystem, Weight, by_weyl_di
 __all__ = [
     "LSChain", "TensorDecomposition", "b_order_leq", "enumerate_ls_chains", "delta_sequence",
     "chain_endpoint", "chain_depth", "chain_weights", "tensor_multiplicity", "tensor_decompose",
-    "chain_record",
 ]
 
 
@@ -112,26 +112,25 @@ def _walker(R: RootSystem, mu: Weight) -> _Walker:
 
 
 @memo
-def _reach(R: RootSystem, mu: Weight) -> tuple[list[Weight], list[tuple[Weight, Weight]]]:
+def _reach(R: RootSystem, mu: Weight) -> tuple[tuple[Weight, ...], list[tuple[Weight, Weight]]]:
     """The pairings of each step of mu's walk with the positive coroots, and their reach.
 
-    pairings[x] is <x, alpha_v> over the positive roots, simple ones first, so
-    it starts with x itself.  reach[x] is the (min, max) of each pairing over x
-    and every step a chain can climb to from x.  A chain climbs only through
-    b-orders with b in (0, 1), whose covers all have m >= 2, so that set is the
-    closure of those covers.  The covers are sorted by their lower element,
-    which comes after its upper one, so one pass meets every upper element
-    finished.  Only walks aimed at an endpoint read this, so it is built apart
-    from _walker, on the first of them.
+    pairings is the poset's own table: pairings[x] is <x, alpha_v> over the
+    positive roots, simple ones first, so it starts with x itself.  reach[x] is
+    the (min, max) of each pairing over x and every step a chain can climb to
+    from x.  A chain climbs only through b-orders with b in (0, 1), whose covers
+    all have m >= 2, so that set is the closure of those covers.  The covers
+    are sorted by their lower element, which comes after its upper one, so one
+    pass meets every upper element finished.  Only walks aimed at an endpoint
+    read this, so it is built apart from _walker, on the first of them.
     """
     P = _walker(R, mu).poset
-    pairings = [tuple(sum(map(mul, r.coroot, w)) for r in R.positive_roots) for w in P.elements]
-    lo, hi = list(pairings), list(pairings)
+    lo, hi = list(P.pairings), list(P.pairings)
     for c in P.covers:
         if c.m >= 2:
             lo[c.lower] = tuple(map(min, lo[c.lower], lo[c.upper]))
             hi[c.lower] = tuple(map(max, hi[c.lower], hi[c.upper]))
-    return pairings, list(zip(lo, hi))
+    return P.pairings, list(zip(lo, hi))
 
 
 def _walk(W: _Walker, nu: Weight, goal: Weight | None = None
@@ -154,7 +153,7 @@ def _walk(W: _Walker, nu: Weight, goal: Weight | None = None
     vecs, target = P.elements, None
     if goal is not None:
         vecs, reach = _reach(P.system, P.base)
-        target = tuple(L * sum(map(mul, r.coroot, goal)) for r in P.system.positive_roots)
+        target = tuple([L * m for m in P.system.pairings(goal)])
     floor = tuple(-L * a for a in nu)
     Ls, Ln = (L,) * (len(vecs[0]) + n), (L,) * n
     out = []
@@ -299,15 +298,3 @@ def tensor_decompose(R: RootSystem, mu, nu) -> TensorDecomposition:
     nu = dominant_weight(R, nu, "second factor")
     shape, other = by_weyl_dim(R, (mu, nu))
     return TensorDecomposition(mu, nu, dict(sorted(_decompose_components(R, shape, other).items())))
-
-
-def chain_record(chain: LSChain) -> dict:
-    """JSON-ready record for one chain."""
-    omega, delta = chain_weights(chain)
-    return {
-        "shape": list(chain.shape),
-        "steps": [list(s) for s in chain.steps],
-        "cuts": [str(b) for b in chain.cuts],
-        "omega": list(omega),
-        "delta": list(delta),
-    }

@@ -162,13 +162,9 @@ def validate(rn: Renormalization) -> RenormReport:
         checks.append(CheckResult("root-bijection", False, "prerequisite check failed"))
 
     if match is not None:
-        bad = []
-        for i, r in enumerate(rn.target.positive_roots):
-            rp = rn.source.positive_roots[match[i]]
-            for j, col in enumerate(cols):
-                lhs = sum(c * x for c, x in zip(r.coroot, col))
-                if lhs != rn.c[i] * rp.coroot[j]:
-                    bad.append((i, j))
+        lhs = [rn.target.pairings(col) for col in cols]  # lhs[j][i] = <phi(w_j), alpha_i_v>
+        bad = [(i, j) for i, k in enumerate(match) for j, p in enumerate(lhs)
+               if p[i] != rn.c[i] * rn.source.positive_roots[k].coroot[j]]
         checks.append(
             CheckResult("pairing-identity", not bad,
                         "" if not bad else f"fails at (root, basis) pairs {bad[:4]}")

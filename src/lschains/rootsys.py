@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import prod
+from operator import mul
 from typing import Iterable, NamedTuple
 
 from .errors import InputError, InvariantViolation
@@ -284,6 +287,10 @@ class RootSystem:
         p = self.positive_roots[root_index].coroot
         return sum(c * x for c, x in zip(p, w))
 
+    def pairings(self, w) -> Weight:
+        """<w, alpha_v> over the positive roots, simple ones first, so it starts with w itself."""
+        return tuple([sum(map(mul, r.coroot, w)) for r in self.positive_roots])
+
     def reflect_root(self, w, root_index: int):
         if root_index < self.rank:  # <w, alpha_i_v> = w[i]; alpha_i.fund is cartan row i
             m, v = w[root_index], list(w)
@@ -329,10 +336,18 @@ def build_root_system(label: str) -> RootSystem:
     if not m:
         raise InputError(f"cannot parse root-system label {label!r}")
     series = m.group(1).upper()
-    rank = int(m.group(2))
+    try:
+        rank = int(m.group(2))
+    except ValueError:  # past Python's limit on the digits of an int string
+        digits = len(m.group(2))
+        raise InputError(f"the rank of a {series} label has {digits} digits, too many to read") from None
     lo, hi = _RANK_RANGE[series]
     if rank < lo or (hi is not None and rank > hi):
         raise InputError(f"rank {rank} out of range for series {series}")
+    # |Phi+| of A, B/C and D in closed form; past sys.maxsize no list holds the roots
+    count = {"A": rank * (rank + 1) // 2, "D": rank * (rank - 1)}.get(series, rank * rank)
+    if count > sys.maxsize:
+        raise InputError(f"{series}{rank} has {count} positive roots, more than a list can hold")
     key = f"{series}{rank}"
     if key not in _SYSTEMS:
         _SYSTEMS[key] = RootSystem(key, series, rank)
@@ -406,7 +421,7 @@ class OrbitPoset:
     Groups, Thm 2.5.5), so a reflection relation sigma_alpha(nu) < nu with
     m = <nu, alpha_v> > 0 is a cover iff l(sigma_alpha(nu)) = l(nu) + 1.
     covers hold those relations, labeled by the root and the positive
-    integer m.
+    integer m.  pairings[i] is R.pairings(elements[i]), the m of every root.
     """
 
     def __init__(self, R: RootSystem, base: Weight):
@@ -417,10 +432,10 @@ class OrbitPoset:
         index = self.index = {w: i for i, w in enumerate(elements)}
         length = [k for k, level in enumerate(levels) for _ in level]
 
+        self.pairings: tuple[Weight, ...] = tuple(map(R.pairings, elements))
         covers: list[Cover] = []
-        for up, w in enumerate(elements):
-            for r in R.positive_roots:
-                m = sum(c * x for c, x in zip(r.coroot, w))
+        for up, (w, ms) in enumerate(zip(elements, self.pairings)):
+            for r, m in zip(R.positive_roots, ms):
                 if m > 0:
                     low = index[tuple(x - m * a for x, a in zip(w, r.fund))]
                     if length[low] == length[up] + 1:
@@ -466,13 +481,7 @@ def weyl_dim(R: RootSystem, lam) -> int:
 
 @memo
 def _weyl_dim(R: RootSystem, lam: Weight) -> int:
-    shifted = tuple(x + 1 for x in lam)
-    num = 1
-    den = 1
-    for r in R.positive_roots:
-        num *= sum(c * x for c, x in zip(r.coroot, shifted))
-        den *= sum(r.coroot)
-    dim, rem = divmod(num, den)
+    dim, rem = divmod(prod(R.pairings([x + 1 for x in lam])), prod(R.pairings(R.weyl_vector)))
     if rem:
         raise InvariantViolation(f"non-integral Weyl dimension for {lam} in {R.label}")
     return dim

@@ -85,7 +85,8 @@ def test_chains_refuses_shapes_over_the_budget_before_enumerating(capsys, monkey
     def enumerate_nothing(*args):
         raise AssertionError("a shape over the budget was enumerated")
 
-    monkeypatch.setattr(cli, "enumerate_ls_chains", enumerate_nothing)
+    monkeypatch.setattr(cli, "_walker", enumerate_nothing)
+    monkeypatch.setattr(cli, "_walk_all", enumerate_nothing)
     code, out, err = run(capsys, "chains", "E8", "1,1,1,1,1,1,1,1")  # weyl_dim about 1.3e36
     assert code == 1
     assert out == ""
@@ -93,6 +94,16 @@ def test_chains_refuses_shapes_over_the_budget_before_enumerating(capsys, monkey
     code, out, err = run(capsys, "chains", "G2", "3,3", "--max-chains", "4095")
     assert code == 1
     assert err.startswith("error:") and "4096 chains" in err
+
+
+def test_chains_prints_from_the_walk_without_building_ls_chains(capsys, monkeypatch):
+    def no_chain(*args):
+        raise AssertionError("chains built an LSChain")
+
+    monkeypatch.setattr(pathmodel, "_ls_chain", no_chain)
+    code, out, _ = run(capsys, "chains", "G2", "3,3", "--limit", "1")
+    assert code == 0
+    assert out.startswith("G2 shape 3,3: 4096 chains") and "... 4095 more" in out
 
 
 def test_chains_budget_admits_a_shape_at_the_limit(capsys):
@@ -152,6 +163,53 @@ def test_products_over_the_chain_budget_fail_before_walking(capsys, argv):
     assert out == ""
     assert err.startswith("error:") and "--max-chains" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("roots", "A99999999999999999999"),
+    ("roots", "A100000000000000000"),
+    ("roots", "A" + "9" * 5000),
+    ("renorm", "map", "so_to_sp:99999999999999999998", "1,1"),
+    ("saturation", "--rank", "99999999999999999999"),
+])
+def test_huge_ranks_fail_before_anything_is_built(capsys, argv):
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+ORACLE_CHECKED = [  # every branch of --oracle: a pair, a fold, invdim through either engine
+    ("tensor", "B2", "1,0", "0,1"),
+    ("mult", "B2", "1,1", "--", "1,0", "0,1"),
+    ("mult", "A2", "0,0", "--", "1,0", "1,0", "1,0"),
+    ("invdim", "B2", "1,0", "1,0", "0,2", "--engine", "chains"),
+    ("invdim", "B2", "1,0", "1,0", "0,2", "--engine", "oracle"),
+]
+
+
+@pytest.mark.parametrize("argv", ORACLE_CHECKED)
+def test_oracle_cross_check_passes_and_prints_the_plain_result(capsys, argv):
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    code, checked, err = run(capsys, argv[0], "--oracle", *argv[1:])
+    assert (code, checked, err) == (0, plain, "")
+
+
+@pytest.mark.parametrize("argv", ORACLE_CHECKED)
+def test_oracle_cross_check_reports_a_planted_disagreement(capsys, monkeypatch, argv):
+    real = cli.invariant_dim
+    monkeypatch.setattr(cli, "tensor_decompose_oracle",
+                        lambda R, mu, nu: pathmodel.TensorDecomposition(mu, nu, {}))
+    monkeypatch.setattr(cli, "invariant_dim",
+                        lambda R, ws, engine: real(R, ws, engine) + (engine == "oracle"))
+    code, out, err = run(capsys, argv[0], "--oracle", *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invariant violation:")
 
 
 def test_product_budget_checks_the_smaller_factor(capsys):

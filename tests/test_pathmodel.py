@@ -479,14 +479,16 @@ def _brute_reach(R, poset):
     ("A2", (1, 1)), ("B2", (1, 0)), ("B2", (0, 1)), ("B2", (1, 1)),
     ("G2", (1, 0)), ("G2", (1, 1)), ("A3", (1, 0, 1)), ("B3", (1, 0, 1)),
     ("C3", (0, 1, 1)), ("D4", (1, 0, 1, 1)), ("F4", (0, 0, 0, 1)), ("G2", (2, 1)),
+    ("E6", (1, 0, 0, 0, 0, 0)),
 ])
 def test_reach_table_against_brute_force_closure(label, mu):
-    # the shapes of test_covers_against_brute_force
+    # the shapes of test_covers_against_brute_force, and one of type E
     R = build_root_system(label)
     poset = weyl_orbit_poset(R, mu)
     pairings, reach = _reach(R, mu)
-    assert pairings == [tuple(pairing(R, w, i) for i in range(len(R.positive_roots)))
-                        for w in poset.elements]
+    assert pairings is poset.pairings
+    assert pairings == tuple(tuple(pairing(R, w, i) for i in range(len(R.positive_roots)))
+                             for w in poset.elements)
     assert all(p[:R.rank] == w for p, w in zip(pairings, poset.elements))
     assert reach == _brute_reach(R, poset)
 
