@@ -26,7 +26,7 @@ from .invariants import (
     sweep_tuples,
     verify_inequality,
 )
-from .pathmodel import _walk_all, _walker, tensor_decompose, tensor_multiplicity
+from .pathmodel import _walk_all, _walker, tensor_decompose
 from .renorm import (
     builtin,
     builtin_catalog,
@@ -236,11 +236,6 @@ def _check_chain_budget(R, shape, budget: int) -> int:
     return dim
 
 
-def _check_product_budget(R, mu, nu, budget: int) -> None:
-    """The tensor rule walks the smaller factor's chains: check that one."""
-    _check_chain_budget(R, by_weyl_dim(R, [dominant_weight(R, w) for w in (mu, nu)])[0], budget)
-
-
 def _check_fold_budget(R, ws, budget: int) -> None:
     """The invariant fold of ws: check every weight but the two largest.
 
@@ -253,6 +248,15 @@ def _check_fold_budget(R, ws, budget: int) -> None:
     _check_budget_sign(budget)
     for w in by_weyl_dim(R, [dominant_weight(R, w) for w in ws])[:-2]:
         _check_chain_budget(R, w, budget)
+
+
+def _fold_value(R, ws, engine: str, args) -> int:
+    """[ws] through engine within --max-chains; with --oracle, checked through the other engine."""
+    _check_fold_budget(R, ws, args.max_chains)
+    value = invariant_dim(R, ws, engine)
+    if args.oracle and invariant_dim(R, ws, "oracle" if engine == "chains" else "chains") != value:
+        raise InvariantViolation("chain and oracle engines disagree")
+    return value
 
 
 def _cmd_chains(args):
@@ -285,33 +289,14 @@ def _cmd_chains(args):
     return payload, lines, False
 
 
-def _check_oracle_pair(R, mu, nu):
-    got = tensor_decompose(R, mu, nu).components
-    want = tensor_decompose_oracle(R, mu, nu).components
-    if got != want:
-        raise InvariantViolation(
-            f"chain and oracle decompositions disagree for {mu} (x) {nu}"
-        )
-
-
 def _cmd_mult(args):
     R = build_root_system(args.type)
-    target = parse_weight(R, args.target)
+    target = dominant_weight(R, parse_weight(R, args.target), "target weight")
     factors = [parse_weight(R, f) for f in args.factors]
     if len(factors) < 2:
         raise InputError("mult needs at least two factor weights")
-    if len(factors) == 2:
-        _check_product_budget(R, *factors, args.max_chains)
-        value = tensor_multiplicity(R, target, factors[0], factors[1])
-        if args.oracle:
-            _check_oracle_pair(R, factors[0], factors[1])
-    else:
-        # m(target; f1..fn) is the invariant dimension of the product with V(target)*
-        ws = [dual_weight(R, target), *factors]
-        _check_fold_budget(R, ws, args.max_chains)
-        value = invariant_dim(R, ws, "chains")
-        if args.oracle and invariant_dim(R, ws, "oracle") != value:
-            raise InvariantViolation("chain and oracle engines disagree")
+    # m(target; f1..fn) is the invariant dimension of the product with V(target)*
+    value = _fold_value(R, [dual_weight(R, target), *factors], "chains", args)
     payload = {"label": R.label, "target": list(target),
                "factors": [list(f) for f in factors], "multiplicity": value}
     return payload, [str(value)], False
@@ -321,10 +306,12 @@ def _cmd_tensor(args):
     R = build_root_system(args.type)
     mu = parse_weight(R, args.mu)
     nu = parse_weight(R, args.nu)
-    _check_product_budget(R, mu, nu, args.max_chains)
+    # the rule walks the smaller factor's chains
+    _check_chain_budget(R, by_weyl_dim(R, [dominant_weight(R, w) for w in (mu, nu)])[0],
+                        args.max_chains)
     dec = tensor_decompose(R, mu, nu)
-    if args.oracle:
-        _check_oracle_pair(R, mu, nu)
+    if args.oracle and tensor_decompose_oracle(R, mu, nu).components != dec.components:
+        raise InvariantViolation(f"chain and oracle decompositions disagree for {mu} (x) {nu}")
     total = sum(m * weyl_dim(R, lam) for lam, m in dec.components.items())
     lines = [f"{R.label}: V({_wstr(mu)}) (x) V({_wstr(nu)}) = "
              f"{sum(dec.components.values())} components, total dim {total}"]
@@ -340,12 +327,7 @@ def _cmd_tensor(args):
 def _cmd_invdim(args):
     R = build_root_system(args.type)
     ws = [parse_weight(R, w) for w in args.weights]
-    _check_fold_budget(R, ws, args.max_chains)
-    value = invariant_dim(R, ws, args.engine)
-    if args.oracle:
-        other = "oracle" if args.engine == "chains" else "chains"
-        if invariant_dim(R, ws, other) != value:
-            raise InvariantViolation("chain and oracle engines disagree")
+    value = _fold_value(R, ws, args.engine, args)
     payload = {"label": R.label, "weights": [list(w) for w in ws],
                "engine": args.engine, "invariant_dim": value}
     return payload, [str(value)], False

@@ -2,22 +2,26 @@
 
 The n-fold invariant dimension [l1, ..., ln] is the dimension of the
 invariant subspace of V(l1) (x) ... (x) V(ln).  It is computed by a fold:
-decompose the smallest factor against the largest, recurse on each
-component with the other factors.  The base cases are [l] = 1 iff l = 0
-and [l, m] = 1 iff m is the dual of l, so a triple [a, b, c] needs one
+decompose the smallest factor against the largest, fold on each component
+with the other factors.  The base cases are [l] = 1 iff l = 0 and
+[l, m] = 1 iff m is the dual of l, so a triple [a, b, c] needs one
 coefficient, the multiplicity of V(b*) in V(a) (x) V(c).
+
+Every fold, of one query or of a sweep's rows, runs level by level (_fold).
+A level evaluates the units its steps need and no cache holds: a pair unit
+(a whole decomposition) for a step of four or more factors, a coefficient
+unit for a triple.  The units are grouped by chain shape and dealt over the
+parent and forked workers (one query takes one worker); each computes a
+distinct share, and the parent keeps every result in its cache.  A level
+too small to pay for a fork stays in the parent.  The components of each
+pair unit start the next level, and the values are stored from the deepest
+level up, so a fold of any depth nests no call in another.
 
 Sweeps compare source-side invariant dimensions against target-side ones
 through a renormalization; the inequality under test is lhs <= rhs on
-every tuple.  A sweep plans, then evaluates.  The plan is every unit the
-folds of its rows need and no cache holds, level by level: a pair unit
-(a whole decomposition) for each fold step of four or more factors, a
-coefficient unit for each triple.  The units are grouped by chain shape
-and dealt over the parent and forked workers; each computes a distinct
-share, and the parent keeps every result in its cache.  A plan too small
-to pay for a fork stays in the parent.  The parent then assembles the rows
-from its warm cache in tuple order, so rows do not depend on the worker
-count.  This holds for any renormalization, builtin or custom.
+every tuple.  A sweep assembles its rows from the warm cache in tuple
+order, so rows do not depend on the worker count.  This holds for any
+renormalization, builtin or custom.
 """
 
 from __future__ import annotations
@@ -60,27 +64,25 @@ def _check_tuple(R: RootSystem, weights) -> tuple[Weight, ...]:
     return out
 
 
-def _check_engine(engine: str) -> None:
-    if engine not in _ENGINES:
-        raise InputError(f"engine must be one of {_ENGINES}")
-
-
 @memo
 def _unit(R: RootSystem, small: Weight, big: Weight, engine: str, *lam: Weight):
-    """One unit of a sweep's plan, by the engine.
+    """One unit of a fold level, by the engine.
 
     A pair unit (no lam) is V(small) (x) V(big) as {component: multiplicity}; a
     coefficient unit is the multiplicity of V(lam) in it.  The chain engine
     counts a coefficient by its walk aimed at lam; the oracle reads it off the
-    pair unit, so one decomposition serves every coefficient of the pair.
+    pair unit, which it stores on first use, so one decomposition serves
+    every coefficient of the pair.
     """
     if engine == "chains":
         if lam:
             return tensor_multiplicity(R, *lam, small, big)
         return tensor_decompose(R, small, big).components
-    if lam:
-        return _unit(R, small, big, engine).get(*lam, 0)
-    return tensor_decompose_oracle(R, small, big).components
+    key = (R, small, big, engine)
+    pair = _unit.store.get(key)
+    if pair is None:
+        pair = _unit.store[key] = tensor_decompose_oracle(R, small, big).components
+    return pair.get(*lam, 0) if lam else pair
 
 
 def _fold_step(R: RootSystem, ws: tuple[Weight, ...], engine: str):
@@ -91,7 +93,10 @@ def _fold_step(R: RootSystem, ws: tuple[Weight, ...], engine: str):
     V(mid*) in V(small) (x) V(big), a coefficient unit with nothing left
     beside it; a longer ws needs the pair unit.
     """
-    small, *rest, big = by_weyl_dim(R, ws)
+    order = by_weyl_dim(R, set(ws))  # a deep fold repeats few weights many times
+    small, big, rest = order[0], order[-1], list(ws)
+    rest.remove(small)
+    rest.remove(big)
     if len(rest) == 1:
         return (R, small, big, engine, dual_weight(R, rest[0])), []
     return (R, small, big, engine), rest
@@ -99,22 +104,50 @@ def _fold_step(R: RootSystem, ws: tuple[Weight, ...], engine: str):
 
 @memo
 def _inv(R: RootSystem, ws: tuple[Weight, ...], engine: str) -> int:
-    """[ws] for a sorted tuple of dominant weights."""
-    zero = (0,) * R.rank
+    """[ws] for a sorted tuple of dominant weights, by one fold step; _fold stores its children."""
     if len(ws) == 1:
-        return 1 if ws[0] == zero else 0
+        return 1 if ws[0] == (0,) * R.rank else 0
     if len(ws) == 2:
         return 1 if ws[1] == dual_weight(R, ws[0]) else 0
     unit, rest = _fold_step(R, ws, engine)
     if not rest:
         return _unit(*unit)
-    return sum(m * _inv(R, tuple(sorted((nu, *rest))), engine) for nu, m in _unit(*unit).items())
+    return sum(m * _inv.store[R, tuple(sorted((nu, *rest))), engine]
+               for nu, m in _unit(*unit).items())
+
+
+def _fold(keys, workers: int) -> None:
+    """Store [ws] for every key (R, ws, engine), one fold level at a time.
+
+    Each level evaluates the units its fold steps need and no cache holds, in
+    at most `workers` shares (none when every unit is cached, so a cached
+    query forks nothing).  The components of each pair unit, with each set of
+    factors left beside it, are the next level's keys, less the cached ones.
+    An n-fold key takes n - 2 levels.  The levels are then stored from the
+    deepest up, so every key finds its children stored.
+    """
+    levels = []
+    level = dict.fromkeys(k for k in keys if len(k[1]) > 2 and k not in _inv.store)
+    while level:
+        levels.append(level)
+        rests: dict[tuple, set] = {}  # the factors left beside each unit, grouped by unit
+        for key in level:
+            unit, rest = _fold_step(*key)
+            rests.setdefault(unit, set()).add(tuple(rest))
+        if units := [u for u in rests if u not in _unit.store]:
+            _evaluate(units, workers)
+        children = ((unit[0], tuple(sorted((nu, *rest))), unit[3])
+                    for unit, sides in rests.items() if len(unit) == 4
+                    for nu in _unit.store[unit] for rest in sides)
+        level = dict.fromkeys(k for k in children if k not in _inv.store)
+    for level in reversed(levels):
+        for key in level:
+            _inv(*key)
 
 
 def invariant_dim(R: RootSystem, weights, engine: str = "chains") -> int:
     """Dimension of the invariant subspace of the n-fold tensor product."""
-    _check_engine(engine)
-    return _inv(R, tuple(sorted(_check_tuple(R, weights))), engine)
+    return _sweep([[(R, weights)]], engine, 1)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -200,30 +233,6 @@ def effective_workers(workers: int | None) -> int:
         except ValueError:
             raise InputError(f"LSCHAINS_MAX_WORKERS={cap!r} is not an integer") from None
     return n
-
-
-def _plan(keys) -> list[tuple]:
-    """The units the folds of keys (R, ws, engine) need that no cache holds.
-
-    A fold step whose unit is cached is followed to the next level; one whose
-    unit is missing stops there, so evaluating the plan and planning again
-    reaches one level deeper, until nothing is missing.
-    """
-    units: dict[tuple, None] = {}
-    seen = set()
-    todo = list(keys)
-    while todo:
-        key = todo.pop()
-        if len(key[1]) < 3 or key in seen or key in _inv.store:
-            continue
-        seen.add(key)
-        R, ws, engine = key
-        unit, rest = _fold_step(R, ws, engine)
-        if unit not in _unit.store:
-            units[unit] = None
-        elif rest:  # a pair unit: each component folds on with the rest
-            todo.extend((R, tuple(sorted((nu, *rest))), engine) for nu in _unit.store[unit])
-    return list(units)
 
 
 # The least load (weyl_dim of the chain shape, summed over the work of
@@ -322,18 +331,17 @@ def _evaluate(units: list[tuple], workers: int) -> None:
         _unit.store.update(zip(share, vals))
 
 
-def _sweep(rows, engine: str, workers: int | None) -> list[list[int]]:
+def _sweep(rows, engine: str, workers: int) -> list[list[int]]:
     """[[invariant_dim(R, ws, engine) for R, ws in row] for row in rows].
 
-    Plan and evaluate until the folds of every query are cached (at most n - 2
-    rounds for n-fold queries), then assemble the values in row order from the
-    keys checked once.
+    Fold every query at once (_fold) in at most `workers` processes, then
+    assemble the values in row order from the keys checked once.  A sweep
+    passes effective_workers(), checked even when every fold is cached.
     """
-    _check_engine(engine)
-    workers = effective_workers(workers)  # checked even when every fold is cached
+    if engine not in _ENGINES:
+        raise InputError(f"engine must be one of {_ENGINES}")
     keys = [(R, tuple(sorted(_check_tuple(R, ws))), engine) for row in rows for R, ws in row]
-    while units := _plan(keys):
-        _evaluate(units, workers)
+    _fold(keys, workers)
     values = (_inv(*key) for key in keys)
     return [[next(values) for _ in row] for row in rows]
 
@@ -354,7 +362,7 @@ def verify_inequality(
     items = [_check_tuple(rn.source, ws) for ws in tuples]
     images = _images(rn, items)
     values = _sweep([((rn.source, ws), (rn.target, im)) for ws, im in zip(items, images)],
-                    engine, workers)
+                    engine, effective_workers(workers))
     rows = tuple(VerificationRow(ws, im, lhs, rhs)
                  for ws, im, (lhs, rhs) in zip(items, images, values))
     return VerificationReport(rn.name or "custom", engine, rows)
@@ -484,5 +492,5 @@ def saturation_scan(
             row.append((rn.target, tuple(tuple(x // 2 for x in w) for w in im)))
         queries.append(row)
     rows = tuple(SaturationRow(ws, v[0], v[2] if len(v) == 3 else None, v[1])
-                 for ws, v in zip(items, _sweep(queries, engine, workers)))
+                 for ws, v in zip(items, _sweep(queries, engine, effective_workers(workers))))
     return SaturationReport(rank, n, bound, rows)

@@ -344,14 +344,23 @@ def _eps_matrix(source: RootSystem, target: RootSystem, scale: int) -> Mat:
     return tuple(tuple(cols[j][i] for j in range(source.rank)) for i in range(target.rank))
 
 
+# Miller-Rabin to the first twelve prime bases is exact below the least strong
+# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_BOUND = 318665857834031151167461
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    k = 2
-    while k * k <= p:
-        if p % k == 0:
+    """Miller-Rabin to _PRIME_BASES, exact for p < _PRIME_BOUND; InputError for a larger p."""
+    if p >= _PRIME_BOUND:
+        raise InputError(f"primality is decided only below {_PRIME_BOUND}, got {p}")
+    if p < 2 or any(p % b == 0 for b in _PRIME_BASES):
+        return p in _PRIME_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    for b in _PRIME_BASES:
+        xs = [pow(b, (p - 1) >> k, p) for k in range(s, 0, -1)]  # b^d, b^2d, ..., b^(2^(s-1) d)
+        if xs[0] != 1 and p - 1 not in xs:
             return False
-        k += 1
     return True
 
 

@@ -1,5 +1,7 @@
 """Command line interface: output shapes, JSON contract, exit codes."""
 
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -9,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lschains import acceptance, cli, clear_caches, invariants, pathmodel
 from lschains.invariants import VerificationReport, VerificationRow, invariant_dim
@@ -145,7 +149,7 @@ def test_tensor_walks_the_smaller_factor_in_either_order(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("tensor", "A1", "99999999999999999999", "99999999999999999999"),
-    ("mult", "A1", "0", "99999999999999999999", "99999999999999999999"),
+    ("mult", "A1", *["99999999999999999999"] * 3),
     ("tensor", "E7", "1,1,1,1,1,1,1", "1,1,1,1,1,1,1"),
     ("tensor", "G2", "3,3", "3,3", "--max-chains", "4095"),
     ("mult", "A1", "0", "3", "3", "--max-chains", "-1"),
@@ -210,6 +214,13 @@ def test_oracle_cross_check_reports_a_planted_disagreement(capsys, monkeypatch, 
     assert code == 2
     assert out == ""
     assert err.startswith("invariant violation:")
+
+
+def test_two_factor_mult_walks_the_smallest_of_the_target_dual_and_the_factors(capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, "mult", "A1", "0", *["99999999999999999999"] * 2)
+    assert time.monotonic() - start < 1
+    assert (code, out.strip(), err) == (0, "1", "")
 
 
 def test_product_budget_checks_the_smaller_factor(capsys):
@@ -510,3 +521,85 @@ def test_malformed_weight(capsys):
 def test_wrong_rank_weight(capsys):
     code, _, err = run(capsys, "chains", "A2", "1,0,0")
     assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every command line ends in an exit code, never in an exception
+
+_HUGE = "99999999999999999999"
+_SWEEP_SPECS = ["g2", "so_to_sp:2", "sp_to_spin:2", "short_to_dual:B2", "trivial:A2",
+                "trivial:B2:2", "frobenius:C2:5", "frobenius:G2:7"]
+_BAD_SPECS = ["trivial:A1:0", "frobenius:G2:4", "so_to_sp:" + _HUGE, "bogus", ""]
+_SPECS = _SWEEP_SPECS + ["f4", "so_to_sp:3", "frobenius:A1:2305843009213693951"]
+
+
+def _mostly(good, bad):
+    """One of good three times in four, else one of bad."""
+    return st.one_of(*[st.sampled_from(good)] * 3, st.sampled_from(bad))
+
+
+def _weights(lo, hi, sweep=False):
+    """lo to hi weight arguments, mostly valid ones of rank 2, else malformed or huge ones.
+
+    A sweep's weights keep their coordinates at most 1 and are never huge.
+    """
+    good = st.lists(st.sampled_from(["0", "1"] + ["2"] * (not sweep)), min_size=2, max_size=2)
+    good = good.map(",".join)
+    coord = st.sampled_from(["0", "1", "-1", "", "1/2", "3/2", "x"] + [_HUGE] * (not sweep))
+    other = st.tuples(st.sampled_from(["", "eps:"]), st.lists(coord, min_size=1, max_size=3))
+    weight = st.one_of(good, good, good, other.map(lambda w: w[0] + ",".join(w[1])))
+    return st.lists(weight, min_size=lo, max_size=hi)
+
+
+def _options(*choices):
+    """Any subset of the choices, each an argument list, in order."""
+    return st.lists(st.sampled_from(choices), max_size=len(choices), unique_by=lambda o: o[0]).map(
+        lambda opts: [a for o in opts for a in o])
+
+
+def _command(*parts):
+    """The concatenation of parts, each a strategy for an argument list."""
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+def _one(strategy):
+    return strategy.map(lambda v: [v])
+
+
+_LABEL = _one(_mostly(["A2", "B2", "C2", "G2"], ["A1", "A" + _HUGE, "D" + _HUGE, "A0", "E9", ""]))
+_SCAN = _command(st.sampled_from([["--bound", "1"], ["--bound", "0"], ["--bound", "-1"]]),
+                 _options(["--n", "2"], ["--n", "0"], ["--engine", "oracle"], ["--workers", "2"],
+                          ["--json"]))
+_SWEEP = _command(_SCAN, _options(["--pool", "height"], ["--full"]))
+_PRIME = _one(_mostly(["2", "3", "5", "7"], ["4", "1", "-3", "x", _HUGE]))
+_PRODUCT = _options(["--json"], ["--oracle"], ["--max-chains", "50"], ["--max-chains", "-1"])
+_COMMANDS = st.one_of(
+    _command(st.just(["roots"]), _LABEL, _options(["--json"])),
+    _command(st.just(["chains"]), _options(["--json"], ["--limit", "2"], ["--limit", "-1"]),
+             _LABEL, _weights(1, 1)),
+    _command(st.just(["tensor"]), _PRODUCT, _LABEL, _weights(2, 2)),
+    _command(st.just(["mult"]), _PRODUCT, _LABEL, _weights(1, 1), st.just(["--"]), _weights(2, 4)),
+    _command(st.just(["invdim"]), _PRODUCT, _options(["--engine", "oracle"]), _LABEL,
+             _weights(1, 5)),
+    _command(st.just(["renorm"]), st.one_of(
+        st.just(["list"]),
+        _command(st.just(["check"]), _one(_mostly(_SPECS, _BAD_SPECS))),
+        _command(st.just(["map"]), _one(_mostly(_SPECS, _BAD_SPECS)), _weights(1, 3)))),
+    _command(st.just(["verify"]), _one(_mostly(_SWEEP_SPECS, _BAD_SPECS)), _SWEEP,
+             st.one_of(st.just([]), _command(st.just(["--weights"]), _weights(0, 3, sweep=True)))),
+    _command(st.just(["frobenius"]), _LABEL, _PRIME, _SWEEP),
+    _command(st.just(["saturation"]), _SCAN,
+             _options(["--rank", "2"], ["--rank", "1"], ["--rank", _HUGE], ["--rank", "x"])),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(_COMMANDS)
+def test_every_command_line_ends_in_an_exit_code(argv):
+    # sweeps stay at rank 2 or less, bound 1, n 3 and primes up to 7, so each command is quick;
+    # an F4 frobenius sweep at bound 1 would take seconds of real work
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -5,6 +5,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import replace
+from math import comb
 
 import pytest
 
@@ -46,6 +47,12 @@ def test_rank_one_values():
     assert invariant_dim(R, [(1,), (1,), (1,), (1,)]) == 2
     assert invariant_dim(R, [(2,), (2,), (2,)]) == 1
     assert invariant_dim(R, [(2,), (2,), (2,), (2,)]) == 3
+
+
+def test_a_deep_fold_nests_no_call():
+    # [1]^n on A1 counts the Dyck paths of length n: the Catalan number C(n/2).
+    # Each fold level is one more level of the traversal, none a nested call.
+    assert invariant_dim(build_root_system("A1"), [(1,)] * 400) == comb(400, 200) // 201
 
 
 def test_sl3_determinant_and_adjoint_cube():
@@ -271,11 +278,11 @@ def test_fork_map_reports_a_child_that_ends_without_a_result():
 
 
 @pytest.mark.parametrize("engine", ["chains", "oracle"])
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("rn", [builtin("so_to_sp:2"), replace(builtin("so_to_sp:2"), name="")],
                          ids=["builtin", "custom"])
 def test_parallel_rows_match_serial(forking, rn, n, engine):
-    # pairs need no decomposition; triples and 4-tuples plan one and two levels
+    # pairs need no decomposition; n-tuples fold in n - 2 forked levels
     tuples = sweep_tuples(dominant_pool(rn.source, 1), n)
     clear_caches()
     parallel = verify_inequality(rn, tuples, engine, workers=3)

@@ -1,6 +1,7 @@
 """Renormalization validation, weight/chain transport, and duality."""
 
 import itertools
+import time
 from dataclasses import replace
 from fractions import Fraction as Q
 
@@ -82,6 +83,30 @@ def test_frobenius_requires_prime():
         builtin("frobenius:A2:1")
     with pytest.raises(InputError, match="cannot parse root-system label 'X9'"):
         builtin("frobenius:X9:4")
+
+
+@pytest.mark.parametrize("p, prime", [
+    (2**61 - 1, True),
+    (2**61 + 1, False),
+    (561, False),  # a Carmichael number
+    (2047, False),  # a strong pseudoprime to base 2
+    (3215031751, False),  # a strong pseudoprime to bases 2, 3, 5 and 7
+    (0, False),
+    (1, False),
+])
+def test_frobenius_decides_large_primes_at_once(p, prime):
+    start = time.monotonic()
+    if prime:
+        assert builtin(f"frobenius:A1:{p}").prime == p
+    else:
+        with pytest.raises(InputError, match=f"{p} is not prime"):
+            builtin(f"frobenius:A1:{p}")
+    assert time.monotonic() - start < 1
+
+
+def test_frobenius_refuses_a_prime_too_large_to_decide():
+    with pytest.raises(InputError, match="decided only below"):
+        builtin("frobenius:A1:318665857834031151167461")
 
 
 def test_orthogonal_to_symplectic_images():
