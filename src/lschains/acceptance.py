@@ -128,6 +128,18 @@ def _f4_self(bound, engine, workers):
     return rep.ok, detail
 
 
+class _Keep(dict):
+    """A walk sink: {(steps, cuts): (endpoint, depth)} of the walked chains whose key is wanted."""
+
+    def __init__(self, wanted: set):
+        super().__init__()
+        self.wanted = wanted
+
+    def append(self, chain):
+        if (key := chain[:2]) in self.wanted:
+            self[key] = chain[2:]
+
+
 def _transport_shape(rn, shape):
     """The chains of shape and their images under phi, on orbit indices and scaled cuts.
 
@@ -141,7 +153,9 @@ def _transport_shape(rn, shape):
 
     Returns the source and target walkers, the source chains in canonical
     order, their images as (steps, cuts), and {(steps, cuts): (endpoint,
-    depth)} over every chain the target walk enumerates.
+    depth)} over the images the target walk enumerates.  That walk still
+    enumerates, and checks integral, every chain of the image shape; it
+    keeps only the images.
     """
     Ws = _walker(rn.source, shape)
     Wt = _walker(rn.target, map_weight(rn, shape))
@@ -165,7 +179,7 @@ def _transport_shape(rn, shape):
         if any(b <= a for a, b in zip(tcs, tcs[1:])):
             raise InvariantViolation("cuts are not strictly increasing")
         images.append((ts, tuple(tcs)))
-    targets = {(steps, cs): (end, depth) for steps, cs, end, depth in _walk_all(Wt)}
+    targets = _walk_all(Wt, _Keep(set(images)))
     return Ws, Wt, chains, images, targets
 
 

@@ -259,6 +259,22 @@ def _fold_value(R, ws, engine: str, args) -> int:
     return value
 
 
+class _Head:
+    """A walk sink: the n first chains in canonical (steps, cuts) order, and how many came."""
+
+    def __init__(self, n: int):
+        self.n, self.count, self.kept = n, 0, []
+
+    def append(self, chain):
+        self.count += 1
+        self.kept.append(chain)
+        if len(self.kept) > 2 * self.n + 64:  # trim now and then, not on every chain
+            self.kept = self.chains()
+
+    def chains(self) -> list:
+        return sorted(self.kept)[: self.n]
+
+
 def _cmd_chains(args):
     if args.limit is not None and args.limit < 0:
         raise InputError(f"--limit must be nonnegative, got {args.limit}")
@@ -266,9 +282,13 @@ def _cmd_chains(args):
     shape = parse_weight(R, args.shape)
     dim = _check_chain_budget(R, shape, args.max_chains)
     W = _walker(R, shape)
-    chains = _walk_all(W)
-    lines = [f"{R.label} shape {_wstr(shape)}: {len(chains)} chains (dim V = {dim})"]
-    shown = chains if args.limit is None else chains[: args.limit]
+    if args.limit is None:
+        shown = _walk_all(W)
+        count = len(shown)
+    else:
+        head = _walk_all(W, _Head(args.limit))
+        shown, count = head.chains(), head.count
+    lines = [f"{R.label} shape {_wstr(shape)}: {count} chains (dim V = {dim})"]
     records = [{"shape": list(shape), "steps": [list(W.poset.elements[x]) for x in steps],
                 "cuts": [str(Q(c, W.scale)) for c in cs], "omega": list(end), "delta": list(depth)}
                for steps, cs, end, depth in shown]
@@ -277,12 +297,12 @@ def _cmd_chains(args):
         cuts = ",".join(rec["cuts"]) or "-"
         lines.append(f"  steps {steps}  cuts {cuts}  endpoint {_wstr(rec['omega'])} "
                      f"depth {_wstr(rec['delta'])}")
-    if args.limit is not None and len(chains) > args.limit:
-        lines.append(f"  ... {len(chains) - args.limit} more")
+    if args.limit is not None and count > args.limit:
+        lines.append(f"  ... {count - args.limit} more")
     payload = {
         "label": R.label,
         "shape": list(shape),
-        "count": len(chains),
+        "count": count,
         "dimension": dim,
         "chains": records,
     }

@@ -15,7 +15,10 @@ parent and forked workers (one query takes one worker); each computes a
 distinct share, and the parent keeps every result in its cache.  A level
 too small to pay for a fork stays in the parent.  The components of each
 pair unit start the next level, and the values are stored from the deepest
-level up, so a fold of any depth nests no call in another.
+level up, so a fold of any depth nests no call in another.  Every level is
+keyed by the multiset of its factors, as sorted (weight, count) pairs: a
+deep fold repeats few weights many times, so a key's size follows the
+distinct weights, not the number of factors.
 
 Sweeps compare source-side invariant dimensions against target-side ones
 through a renormalization; the inequality under test is lhs <= rhs on
@@ -30,6 +33,7 @@ import itertools
 import os
 import pickle
 import signal
+from collections import Counter
 from dataclasses import dataclass
 
 from .charoracle import tensor_decompose_oracle
@@ -85,39 +89,57 @@ def _unit(R: RootSystem, small: Weight, big: Weight, engine: str, *lam: Weight):
     return pair.get(*lam, 0) if lam else pair
 
 
-def _fold_step(R: RootSystem, ws: tuple[Weight, ...], engine: str):
-    """The unit one fold step of ws needs, and the factors left beside it.
+def _multiset(ws) -> tuple[tuple[Weight, int], ...]:
+    """The fold key of the weights ws: sorted (weight, count) pairs."""
+    return tuple(sorted(Counter(ws).items()))
+
+
+def _plus(ms: tuple[tuple[Weight, int], ...], w: Weight) -> tuple[tuple[Weight, int], ...]:
+    """The multiset ms with one more w."""
+    counts = dict(ms)
+    counts[w] = counts.get(w, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+def _size(ms: tuple[tuple[Weight, int], ...]) -> int:
+    """The number of factors of the multiset ms."""
+    return sum(c for _, c in ms)
+
+
+def _fold_step(R: RootSystem, ws: tuple[tuple[Weight, int], ...], engine: str):
+    """The unit one fold step of the multiset ws needs, and the multiset left beside it.
 
     The smallest factor by (weyl_dim, weight) is the chain shape, the largest
     the floor that prunes it.  [small, mid, big] is the multiplicity of
     V(mid*) in V(small) (x) V(big), a coefficient unit with nothing left
     beside it; a longer ws needs the pair unit.
     """
-    order = by_weyl_dim(R, set(ws))  # a deep fold repeats few weights many times
-    small, big, rest = order[0], order[-1], list(ws)
-    rest.remove(small)
-    rest.remove(big)
-    if len(rest) == 1:
-        return (R, small, big, engine, dual_weight(R, rest[0])), []
+    order = by_weyl_dim(R, [w for w, _ in ws])
+    small, big, counts = order[0], order[-1], dict(ws)
+    counts[small] -= 1
+    counts[big] -= 1
+    rest = tuple((w, c) for w, c in counts.items() if c)  # still sorted
+    if len(rest) == 1 and rest[0][1] == 1:
+        return (R, small, big, engine, dual_weight(R, rest[0][0])), ()
     return (R, small, big, engine), rest
 
 
 @memo
-def _inv(R: RootSystem, ws: tuple[Weight, ...], engine: str) -> int:
-    """[ws] for a sorted tuple of dominant weights, by one fold step; _fold stores its children."""
-    if len(ws) == 1:
-        return 1 if ws[0] == (0,) * R.rank else 0
-    if len(ws) == 2:
-        return 1 if ws[1] == dual_weight(R, ws[0]) else 0
+def _inv(R: RootSystem, ws: tuple[tuple[Weight, int], ...], engine: str) -> int:
+    """[ws] for a multiset of dominant weights, by one fold step; _fold stores its children."""
+    n = _size(ws)
+    if n == 1:
+        return 1 if ws[0][0] == (0,) * R.rank else 0
+    if n == 2:
+        return 1 if ws[-1][0] == dual_weight(R, ws[0][0]) else 0
     unit, rest = _fold_step(R, ws, engine)
     if not rest:
         return _unit(*unit)
-    return sum(m * _inv.store[R, tuple(sorted((nu, *rest))), engine]
-               for nu, m in _unit(*unit).items())
+    return sum(m * _inv.store[R, _plus(rest, nu), engine] for nu, m in _unit(*unit).items())
 
 
 def _fold(keys, workers: int) -> None:
-    """Store [ws] for every key (R, ws, engine), one fold level at a time.
+    """Store [ws] for every key (R, ws, engine), ws a multiset, one fold level at a time.
 
     Each level evaluates the units its fold steps need and no cache holds, in
     at most `workers` shares (none when every unit is cached, so a cached
@@ -127,16 +149,16 @@ def _fold(keys, workers: int) -> None:
     deepest up, so every key finds its children stored.
     """
     levels = []
-    level = dict.fromkeys(k for k in keys if len(k[1]) > 2 and k not in _inv.store)
+    level = dict.fromkeys(k for k in keys if _size(k[1]) > 2 and k not in _inv.store)
     while level:
         levels.append(level)
         rests: dict[tuple, set] = {}  # the factors left beside each unit, grouped by unit
         for key in level:
             unit, rest = _fold_step(*key)
-            rests.setdefault(unit, set()).add(tuple(rest))
+            rests.setdefault(unit, set()).add(rest)
         if units := [u for u in rests if u not in _unit.store]:
             _evaluate(units, workers)
-        children = ((unit[0], tuple(sorted((nu, *rest))), unit[3])
+        children = ((unit[0], _plus(rest, nu), unit[3])
                     for unit, sides in rests.items() if len(unit) == 4
                     for nu in _unit.store[unit] for rest in sides)
         level = dict.fromkeys(k for k in children if k not in _inv.store)
@@ -340,7 +362,7 @@ def _sweep(rows, engine: str, workers: int) -> list[list[int]]:
     """
     if engine not in _ENGINES:
         raise InputError(f"engine must be one of {_ENGINES}")
-    keys = [(R, tuple(sorted(_check_tuple(R, ws))), engine) for row in rows for R, ws in row]
+    keys = [(R, _multiset(_check_tuple(R, ws)), engine) for row in rows for R, ws in row]
     _fold(keys, workers)
     values = (_inv(*key) for key in keys)
     return [[next(values) for _ in row] for row in rows]

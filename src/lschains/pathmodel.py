@@ -133,9 +133,12 @@ def _reach(R: RootSystem, mu: Weight) -> tuple[tuple[Weight, ...], list[tuple[We
     return P.pairings, list(zip(lo, hi))
 
 
-def _walk(W: _Walker, nu: Weight, goal: Weight | None = None
-          ) -> list[tuple[tuple, tuple, Weight, Weight]]:
+def _walk(W: _Walker, nu: Weight, goal: Weight | None = None, out=None):
     """(step indices, scaled cuts, endpoint, depth) of each chain with nu + depth dominant.
+
+    Each chain completed goes to out.append, in walk order, and out is
+    returned; without a sink out is a new list.  A sink that keeps only some
+    chains bounds what the walk holds by what its caller keeps.
 
     L * (nu + delta_t) is linear in the cut c ending the step: once outside the
     cone it stays out at every later cut, and once the endpoint is inside, every
@@ -156,7 +159,8 @@ def _walk(W: _Walker, nu: Weight, goal: Weight | None = None
         target = tuple([L * m for m in P.system.pairings(goal)])
     floor = tuple(-L * a for a in nu)
     Ls, Ln = (L,) * (len(vecs[0]) + n), (L,) * n
-    out = []
+    out = [] if out is None else out
+    emit = out.append
 
     def walk(x: int, c0: int, steps: tuple, cs: tuple, s: tuple, low: tuple):
         # x starts at scaled cut c0 with L * delta = s (low: its running min)
@@ -173,8 +177,7 @@ def _walk(W: _Walker, nu: Weight, goal: Weight | None = None
             if any(map(mod, end + depth, Ls)):
                 raise InvariantViolation(f"chain {steps}, {cs} / {L} of {P.base} is not integral")
             if target is None or end == target:
-                out.append((steps, cs, tuple(map(floordiv, end, Ln)),
-                            tuple(map(floordiv, depth, Ln))))
+                emit((steps, cs, tuple(map(floordiv, end, Ln)), tuple(map(floordiv, depth, Ln))))
         for c, ys in islice(up[x], bisect_right(up[x], c0, key=itemgetter(0)), None):
             dc = c - c0
             s2 = tuple([a + dc * b for a, b in zip(s, w)])
@@ -185,16 +188,27 @@ def _walk(W: _Walker, nu: Weight, goal: Weight | None = None
                 walk(y, c, steps + (y,), cs + (c,), s2, low2)
 
     zero = (0,) * len(vecs[0])
-    for x in range(len(vecs)):
-        walk(x, 0, (x,), (), zero, zero[:n])
+    try:
+        for x in range(len(vecs)):
+            walk(x, 0, (x,), (), zero, zero[:n])
+    finally:
+        # walk refers to itself through its closure; the cycle would hold out
+        # and every chain in it until the cyclic collector next runs
+        walk = None
     return out
 
 
-def _walk_all(W: _Walker) -> list[tuple[tuple, tuple, Weight, Weight]]:
-    """_walk output for every chain of the shape, in canonical (steps, cuts) order."""
+def _walk_all(W: _Walker, out=None):
+    """_walk output for every chain of the shape, in canonical (steps, cuts) order.
+
+    With a sink the chains go to out.append in walk order, unsorted.
+    """
     # |delta_t| <= M in every coordinate, so the floor -L * M prunes nothing
     M = max(abs(a) for w in W.poset.elements for a in w)
-    return sorted(_walk(W, (M,) * len(W.poset.base)))
+    chains = _walk(W, (M,) * len(W.poset.base), out=out)
+    if out is None:
+        chains.sort()
+    return chains
 
 
 def _ls_chain(W: _Walker, steps: tuple, cs: tuple) -> LSChain:

@@ -110,6 +110,20 @@ def test_chains_prints_from_the_walk_without_building_ls_chains(capsys, monkeypa
     assert out.startswith("G2 shape 3,3: 4096 chains") and "... 4095 more" in out
 
 
+@pytest.mark.parametrize("label, shape", [("G2", "3,3"), ("F4", "0,0,1,1"), ("A1", "7")])
+def test_chains_limit_prints_the_head_of_the_full_listing(capsys, label, shape):
+    code, full, _ = run(capsys, "chains", label, shape)
+    _, doc, _ = run_json(capsys, "chains", label, shape)
+    count = doc["count"]
+    lines = full.splitlines()
+    for k in (0, 1, 5, count, count + 1):
+        code, out, _ = run(capsys, "chains", label, shape, "--limit", str(k))
+        more = [f"  ... {count - k} more"] if k < count else []
+        assert code == 0 and out.splitlines() == lines[: k + 1] + more
+        code, head, _ = run_json(capsys, "chains", label, shape, "--limit", str(k))
+        assert code == 0 and head == {**doc, "chains": doc["chains"][:k]}
+
+
 def test_chains_budget_admits_a_shape_at_the_limit(capsys):
     code, doc, _ = run_json(capsys, "chains", "G2", "1,0", "--max-chains", "7")
     assert code == 0

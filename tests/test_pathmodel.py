@@ -6,7 +6,9 @@ own BFS notion of cut-admissible comparability, and compare the full set
 against the library's enumeration.
 """
 
+import gc
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as Q
 from operator import add
@@ -23,6 +25,7 @@ from lschains.pathmodel import (
     LSChain,
     _reach,
     _walk,
+    _walk_all,
     _walker,
     b_order_leq,
     chain_depth,
@@ -453,6 +456,28 @@ def test_aimed_walk_keeps_exactly_the_chains_ending_at_the_goal(label, mu, nu):
     full = sorted(_walk(W, nu))
     for goal in sorted({end for _, _, end, _ in full}) + [(0,) * R.rank, tuple(-a for a in mu)]:
         assert sorted(_walk(W, nu, goal)) == [c for c in full if c[2] == goal]
+
+
+def test_a_dropped_walk_is_freed_without_the_cycle_collector():
+    # the recursive walk closure refers to itself; left as a cycle it would hold
+    # every chain walked (3.1 MB here) until the collector ran
+    W = _walker(build_root_system("G2"), (6, 2))
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        assert len(_walk_all(W)) == weyl_dim(W.poset.system, (6, 2))
+        assert tracemalloc.get_traced_memory()[0] < 1_000_000
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def test_a_sink_takes_every_chain_in_walk_order():
+    W = _walker(build_root_system("G2"), (2, 1))
+    sink = []
+    assert _walk_all(W, sink) is sink
+    assert sink == _walk(W, (100, 100)) and sorted(sink) == _walk_all(W)
 
 
 def _brute_reach(R, poset):
