@@ -48,11 +48,7 @@ def parse_weight(R, text: str):
     """Weight syntax: '1,0,2' in fundamental coordinates, or 'eps:3/2,1/2'."""
     text = text.strip()
     if text.startswith("eps:"):
-        try:
-            coords = [Q(x) for x in text[4:].split(",")]
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"bad eps coordinates in {text!r}")
-        return weight_from_eps(R, coords)
+        return weight_from_eps(R, text[4:].split(","))
     try:
         w = tuple(int(x) for x in text.split(","))
     except ValueError:
@@ -495,6 +491,11 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         payload, lines, violated = _HANDLERS[args.command](args)
+        if args.json:
+            doc = {"schema": SCHEMA, "command": args.command, **payload}
+            text = json.dumps(doc, indent=2)
+        else:
+            text = "\n".join(lines)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (InputError, ChildProcessError) as exc:  # ChildProcessError: a worker died
@@ -503,12 +504,14 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
-
-    if args.json:
-        doc = {"schema": SCHEMA, "command": args.command, **payload}
-        text = json.dumps(doc, indent=2)
-    else:
-        text = "\n".join(lines)
+    except ValueError as exc:
+        # Python turns no int of more digits than its limit into text; the limit stays,
+        # since it also keeps int() from reading a long argument in quadratic time
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: a result has more than {sys.get_int_max_str_digits()} digits, "
+              "more than Python prints", file=sys.stderr)
+        return 1
     try:
         out = open(args.out, "w") if args.out else None
     except OSError as exc:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from functools import cached_property
 from math import lcm
+from operator import mul
 
 from .errors import InputError, InvariantViolation
 from .pathmodel import LSChain, b_order_leq
@@ -119,7 +120,8 @@ def _lattice_member(R: RootSystem, tag: str | None, w) -> bool:
     if tag is None:
         return True
     if tag == "eps_int":
-        return all(x.denominator == 1 for x in R.to_ambient(w))
+        den, rows = R.ambient_map
+        return all(sum(map(mul, row, w)) % den == 0 for row in rows)
     raise InputError(f"unknown lattice tag {tag!r}")
 
 
@@ -205,13 +207,8 @@ def _lattice_generators(R: RootSystem, tag: str | None) -> list[Weight]:
     if tag is None:
         return [tuple(1 if i == j else 0 for j in range(R.rank)) for i in range(R.rank)]
     if tag == "eps_int":
-        gens = []
-        for i in range(R.rank):
-            e = [Q(0)] * R.ambient_dim
-            e[i] = Q(1)
-            f = R.from_ambient(e)
-            gens.append(tuple(int(x) for x in f))
-        return gens
+        units = [[int(i == k) for k in range(R.ambient_dim)] for i in range(R.rank)]
+        return [tuple(int(x) for x in R.from_ambient(e)) for e in units]
     raise InputError(f"unknown lattice tag {tag!r}")
 
 
@@ -336,12 +333,9 @@ def _scaled_identity(R: RootSystem, s: int) -> Mat:
 
 def _eps_matrix(source: RootSystem, target: RootSystem, scale: int) -> Mat:
     """phi in fundamental coordinates for 'multiply eps coordinates by scale'."""
-    cols = []
-    for j in range(source.rank):
-        e = tuple(1 if i == j else 0 for i in range(source.rank))
-        amb = tuple(Q(scale) * x for x in source.to_ambient(e))
-        cols.append(target.from_ambient(amb))
-    return tuple(tuple(cols[j][i] for j in range(source.rank)) for i in range(target.rank))
+    den, rows = source.ambient_map  # column j over den: the eps coordinates of w_j
+    cols = [target.from_ambient([scale * row[j] for row in rows]) for j in range(source.rank)]
+    return tuple(tuple(col[i] / den for col in cols) for i in range(target.rank))
 
 
 # Miller-Rabin to the first twelve prime bases is exact below the least strong

@@ -1,9 +1,11 @@
 """Exact root-system data for the finite simple types.
 
 Weights are tuples of coordinates in the fundamental-weight basis: integers
-for `Weight`, Fractions for `RationalWeight`.  Ambient Bourbaki epsilon
-coordinates appear only at the construction boundary (the simple-root tables)
-and in the eps <-> fundamental converters for types B and C.
+for `Weight`, Fractions for `RationalWeight`.  Every type is built in ints,
+from simple-root tables that hold twice the Bourbaki epsilon coordinates, by
+exact int divisions.  Fractions appear only at the epsilon boundary:
+`Root.ambient`, the values `RootSystem.to_ambient` and `from_ambient`
+return, and `weight_from_eps` / `weight_to_eps` for types B and C.
 
 Root lengths (`Root.d`, `simple_d`) are normalized so short roots have squared
 length 2.
@@ -18,10 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import prod
 from operator import mul
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import InputError, InvariantViolation
-from .ratmat import Mat, inverse, mat, matvec
 
 Weight = tuple[int, ...]
 RationalWeight = tuple[Q, ...]
@@ -103,56 +104,37 @@ _RANK_RANGE = {"A": (1, None), "B": (2, None), "C": (2, None), "D": (4, None),
                "E": (6, 8), "F": (4, 4), "G": (2, 2)}
 
 
-def _simple_roots_ambient(series: str, rank: int) -> tuple[RationalWeight, ...]:
-    """Bourbaki epsilon coordinates of the simple roots."""
-    def e(i: int, dim: int, c=1) -> list[Q]:
-        v = [Q(0)] * dim
-        v[i] = Q(c)
-        return v
+def _simple_roots_ambient(series: str, rank: int) -> tuple[Weight, ...]:
+    """Twice the Bourbaki epsilon coordinates of the simple roots, so every entry is an int."""
+    def diff(i: int, j: int, dim: int) -> Weight:  # 2 (eps_i - eps_j)
+        return tuple(2 * ((k == i) - (k == j)) for k in range(dim))
 
     if series == "A":
-        dim = rank + 1
-        return tuple(tuple(Q(a) - Q(b) for a, b in zip(e(i, dim), e(i + 1, dim)))
-                     for i in range(rank))
+        return tuple(diff(i, i + 1, rank + 1) for i in range(rank))
     if series in ("B", "C", "D"):
-        dim = rank
-        roots = [tuple(Q(x) - Q(y) for x, y in zip(e(i, dim), e(i + 1, dim)))
-                 for i in range(rank - 1)]
-        if series == "B":
-            roots.append(tuple(e(rank - 1, dim)))
-        elif series == "C":
-            roots.append(tuple(e(rank - 1, dim, 2)))
-        else:
-            last = e(rank - 2, dim)
-            last[rank - 1] = Q(1)
-            roots.append(tuple(last))
-        return tuple(roots)
+        last = {"B": (0, 2), "C": (0, 4), "D": (2, 2)}[series]  # eps_l, 2 eps_l, eps_(l-1) + eps_l
+        return tuple(diff(i, i + 1, rank) for i in range(rank - 1)) + ((0,) * (rank - 2) + last,)
     if series == "E":
-        half = Q(1, 2)
-        a1 = (half, -half, -half, -half, -half, -half, -half, half)
-        a2 = (Q(1), Q(1), Q(0), Q(0), Q(0), Q(0), Q(0), Q(0))
-        rows = [a1, a2]
-        for k in range(1, 7):
-            v = [Q(0)] * 8
-            v[k] = Q(1)
-            v[k - 1] = Q(-1)
-            rows.append(tuple(v))
+        rows = [(1, -1, -1, -1, -1, -1, -1, 1), (2, 2, 0, 0, 0, 0, 0, 0)]
+        rows += [diff(k, k - 1, 8) for k in range(1, 7)]
         return tuple(rows[:rank])
     if series == "F":
-        h = Q(1, 2)
-        return (
-            (Q(0), Q(1), Q(-1), Q(0)),
-            (Q(0), Q(0), Q(1), Q(-1)),
-            (Q(0), Q(0), Q(0), Q(1)),
-            (h, -h, -h, -h),
-        )
+        return ((0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1))
     if series == "G":
-        return ((Q(1), Q(-1), Q(0)), (Q(-2), Q(1), Q(1)))
+        return ((2, -2, 0), (-4, 2, 2))
     raise InputError(f"unknown series {series!r}")
 
 
-def _dot(x: Iterable[Q], y: Iterable[Q]) -> Q:
-    return sum(a * b for a, b in zip(x, y))
+def _dot(x, y):
+    return sum(map(mul, x, y))
+
+
+def _exact(num: int, den: int, message: str) -> int:
+    """num / den, which must be an int; InvariantViolation(message) if it is not."""
+    q, r = divmod(num, den)
+    if r:
+        raise InvariantViolation(message)
+    return q
 
 
 class Cover(NamedTuple):
@@ -171,7 +153,7 @@ class Root:
     coeffs: expansion over the simple roots (nonnegative integers).
     fund:   fundamental-weight coordinates.
     coroot: pairing vector p with <w, root_v> = sum p[i] * w[i].
-    ambient: Bourbaki epsilon coordinates.
+    ambient: Bourbaki epsilon coordinates, as Fractions (halves for E, F and spin).
     d:      half squared length under the short-root-is-2 normalization.
     """
 
@@ -222,55 +204,38 @@ class RootSystem:
         self.label = label
         self.series = series
         self.rank = rank
-        amb = _simple_roots_ambient(series, rank)
-        self.ambient_dim = len(amb[0])
-        self.simple_roots: tuple[RationalWeight, ...] = amb
-        cartan = tuple(
-            tuple(int(Q(2) * _dot(amb[i], amb[j]) / _dot(amb[j], amb[j])) for j in range(rank))
-            for i in range(rank)
-        )
+        amb = self._simple_amb = _simple_roots_ambient(series, rank)  # twice Bourbaki
+        self.ambient_dim = dim = len(amb[0])
+        norms = [_dot(a, a) for a in amb]
+        cartan = tuple(tuple(2 * _dot(a, b) // nb for b, nb in zip(amb, norms)) for a in amb)
         self.cartan = cartan
         # the Dynkin neighbours (j, a_ij) of each node i, which a simple reflection moves
         self._neighbours = tuple(tuple((j, a) for j, a in enumerate(row) if a and j != i)
                                  for i, row in enumerate(cartan))
-        self.cartan_inv: Mat = inverse(mat(cartan))
         # normalize the form so the shortest root has squared length 2
-        min_len = min(_dot(a, a) for a in amb)
-        scale = Q(2) / min_len
-        lengths = [scale * _dot(a, a) / 2 for a in amb]
-        if any(d.denominator != 1 for d in lengths):
-            raise InvariantViolation(f"non-integral root lengths for {label}")
-        self.simple_d = tuple(int(d) for d in lengths)
+        short = min(norms)
+        self.simple_d = tuple(_exact(n, short, f"non-integral root lengths for {label}")
+                              for n in norms)
+        sparse = [[(k, x) for k, x in enumerate(a) if x] for a in amb]
 
         roots: list[Root] = []
         for idx, coeffs in enumerate(_positive_roots_from_cartan(cartan)):
-            fund = tuple(sum(coeffs[i] * cartan[i][j] for i in range(rank)) for j in range(rank))
-            ambient = tuple(
-                sum(Q(coeffs[i]) * amb[i][k] for i in range(rank))
-                for k in range(self.ambient_dim)
-            )
-            dsq = scale * _dot(ambient, ambient) / 2
-            if dsq.denominator != 1:
-                raise InvariantViolation(f"non-integral length for root {coeffs} in {label}")
-            d = int(dsq)
-            coroot = []
-            for i in range(rank):
-                p = Q(coeffs[i] * self.simple_d[i], d)
-                if p.denominator != 1:
-                    raise InvariantViolation(f"non-integral coroot pairing in {label}")
-                coroot.append(int(p))
-            roots.append(Root(idx, coeffs, fund, tuple(coroot), ambient, d))
+            fund, ambient = [0] * rank, [0] * dim
+            for i, c in enumerate(coeffs):
+                if c:
+                    fund[i] += 2 * c
+                    for j, a in self._neighbours[i]:
+                        fund[j] += c * a
+                    for k, x in sparse[i]:
+                        ambient[k] += c * x
+            d = _exact(_dot(ambient, ambient), short,
+                       f"non-integral length for root {coeffs} in {label}")
+            coroot = tuple(_exact(c * sd, d, f"non-integral coroot pairing in {label}")
+                           for c, sd in zip(coeffs, self.simple_d))
+            roots.append(Root(idx, coeffs, tuple(fund), coroot, tuple(Q(x, 2) for x in ambient), d))
         self.positive_roots: tuple[Root, ...] = tuple(roots)
         self.root_by_fund = {r.fund: r.index for r in roots}
         self.weyl_vector: Weight = (1,) * rank
-        # columns: ambient coordinates of the fundamental weights
-        self._amb_of_fund: Mat = tuple(
-            tuple(
-                sum(self.cartan_inv[i][k] * amb[k][row] for k in range(rank))
-                for i in range(rank)
-            )
-            for row in range(self.ambient_dim)
-        )
         # -w0 permutes the fundamental weights: dual(w)[j] = w[dual_index[j]]
         self.dual_index = tuple(
             self.dominant_rep(tuple(-int(i == j) for j in range(rank))).index(1)
@@ -314,15 +279,39 @@ class RootSystem:
                 return v
             v = self.reflect_root(v, i)
 
+    @functools.cached_property
+    def ambient_map(self) -> tuple[int, tuple[Weight, ...]]:
+        """(den, rows): the Bourbaki epsilon coordinates of a weight w are rows . w / den.
+
+        The invariant form is unique up to scale, so sum over b > 0 of
+        d_b * <w, b_v> * b = kappa * w for one int kappa.  In the simple-root
+        basis, kappa * C^-1 = sum over b > 0 of d_b * coroot_b (x) coeffs_b,
+        and pairing w = w_0 with alpha_0_v reads off kappa as the sum of
+        d_b * coroot_b[0] * fund_b[0].  The simple-root rows are doubled, so
+        den = 2 * kappa.
+        """
+        rank = self.rank
+        kappa = sum(r.d * r.coroot[0] * r.fund[0] for r in self.positive_roots)
+        m = [[0] * rank for _ in range(rank)]  # kappa * C^-1
+        for r in self.positive_roots:
+            nz = [(k, c) for k, c in enumerate(r.coeffs) if c]
+            for i, p in enumerate(r.coroot):
+                if p:
+                    row, dp = m[i], r.d * p
+                    for k, c in nz:
+                        row[k] += dp * c
+        amb = list(zip(*self._simple_amb))
+        return 2 * kappa, tuple(tuple(_dot(mi, col) for mi in m) for col in amb)
+
     def to_ambient(self, w) -> RationalWeight:
-        return matvec(self._amb_of_fund, w)
+        """Bourbaki epsilon coordinates of a weight."""
+        den, rows = self.ambient_map
+        return tuple(Q(_dot(row, w), den) for row in rows)
 
     def from_ambient(self, vec) -> RationalWeight:
-        """Fundamental coordinates of an ambient vector in the root span."""
-        out = []
-        for a in self.simple_roots:
-            out.append(Q(2) * _dot(vec, a) / _dot(a, a))
-        return tuple(out)
+        """Fundamental coordinates of an ambient (Bourbaki) vector in the root span."""
+        # 2 (v, a) / (a, a) with a = a2 / 2 for each doubled simple row a2
+        return tuple(Q(4 * _dot(vec, a), _dot(a, a)) for a in self._simple_amb)
 
 
 _SYSTEMS: dict[str, RootSystem] = {}
@@ -517,16 +506,28 @@ def weyl_group_order(R: RootSystem | str) -> int:
     return _EXCEPTIONAL_WEYL[R.label]
 
 
+def _eps_number(x) -> Q:
+    """One eps coordinate: a number, or the text of an int, p/q or a plain decimal."""
+    # Fraction also reads exponents, and builds 10**n for '1en': '1e999999999' never ends
+    if isinstance(x, str) and ("e" in x or "E" in x):
+        raise InputError(f"bad eps coordinates: {x!r} has an exponent")
+    try:
+        return Q(x)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"bad eps coordinates: {x!r}") from None
+
+
 def weight_from_eps(R: RootSystem, coords) -> Weight:
     """Fundamental coordinates of an epsilon-coordinate weight (types B, C).
 
-    For B the admissible lattice is {sum a_i eps_i : a_i - a_j in Z}: all
+    Each coordinate is a number or its text, as `_eps_number` reads it.  For
+    B the admissible lattice is {sum a_i eps_i : a_i - a_j in Z}: all
     coordinates integral, or all half-odd-integral.  For C all coordinates
     must be integers.
     """
     if R.series not in ("B", "C"):
         raise InputError("eps coordinates are only supported for types B and C")
-    v = tuple(Q(x) for x in coords)
+    v = tuple(map(_eps_number, coords))
     if len(v) != R.rank:
         raise InputError(f"expected {R.rank} eps coordinates, got {len(v)}")
     if R.series == "C":
@@ -535,8 +536,6 @@ def weight_from_eps(R: RootSystem, coords) -> Weight:
     else:
         denoms = {x.denominator for x in v}
         if not (denoms <= {1} or denoms == {2}):
-            raise InputError(f"{v} is not in the type B weight lattice")
-        if denoms == {2} and any(x.denominator != 2 for x in v):
             raise InputError(f"{v} is not in the type B weight lattice")
     fund = R.from_ambient(v)
     if any(x.denominator != 1 for x in fund):

@@ -282,6 +282,33 @@ def test_eps_weight_syntax(capsys):
     assert code == 0 and out.strip() == "1"
 
 
+@pytest.mark.parametrize("spin", ["eps:0.5,.5", "eps:2/4, 0.50", "eps:.5,0.5"])
+def test_eps_weight_reads_plain_decimals(capsys, spin):
+    code, out, _ = run(capsys, "invdim", "B2", spin, "eps:1/2,1/2")
+    assert code == 0 and out.strip() == "1"
+
+
+@pytest.mark.parametrize("coord", ["1e10000000", "1e999999999", "1e5000", "1E0", "2.5e-1"])
+def test_eps_coordinates_with_an_exponent_fail_fast(capsys, coord):
+    start = time.monotonic()
+    code, out, err = run(capsys, "tensor", "B2", f"eps:{coord},0", "1,0")
+    assert time.monotonic() - start < 1
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad eps coordinates")
+
+
+@pytest.mark.parametrize("argv", [
+    ("tensor", "B2", "9" * 4000 + ",0", "0,0"),
+    ("tensor", "B2", "9" * 4000 + ",0", "0,0", "--json"),
+    ("chains", "B2", "9" * 4000 + ",0"),
+])
+def test_results_past_the_int_digit_limit_exit_1(capsys, argv):
+    # dim V(lam) of B2 has about 16,000 digits here, past what Python prints
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: a result has more than 4300 digits")
+
+
 def test_eps_weight_outside_lattice(capsys):
     code, _, err = run(capsys, "invdim", "B2", "eps:1/3,0")
     assert code == 1
@@ -541,6 +568,7 @@ def test_wrong_rank_weight(capsys):
 # fuzzing: every command line ends in an exit code, never in an exception
 
 _HUGE = "99999999999999999999"
+_LONG = "9" * 4000  # Python reads it, but not every int it leads to can be printed
 _SWEEP_SPECS = ["g2", "so_to_sp:2", "sp_to_spin:2", "short_to_dual:B2", "trivial:A2",
                 "trivial:B2:2", "frobenius:C2:5", "frobenius:G2:7"]
 _BAD_SPECS = ["trivial:A1:0", "frobenius:G2:4", "so_to_sp:" + _HUGE, "bogus", ""]
@@ -559,7 +587,7 @@ def _weights(lo, hi, sweep=False):
     """
     good = st.lists(st.sampled_from(["0", "1"] + ["2"] * (not sweep)), min_size=2, max_size=2)
     good = good.map(",".join)
-    coord = st.sampled_from(["0", "1", "-1", "", "1/2", "3/2", "x"] + [_HUGE] * (not sweep))
+    coord = st.sampled_from(["0", "1", "-1", "", "1/2", "3/2", "x"] + [_HUGE, _LONG] * (not sweep))
     other = st.tuples(st.sampled_from(["", "eps:"]), st.lists(coord, min_size=1, max_size=3))
     weight = st.one_of(good, good, good, other.map(lambda w: w[0] + ",".join(w[1])))
     return st.lists(weight, min_size=lo, max_size=hi)

@@ -6,6 +6,7 @@ ambient coordinates (no Cartan matrices), implemented locally.
 """
 
 import itertools
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -16,8 +17,10 @@ from lschains.charoracle import tensor_decompose_oracle, weight_multiplicities, 
 from lschains.errors import InputError
 from lschains.invariants import invariant_dim
 from lschains.pathmodel import enumerate_ls_chains, tensor_decompose, tensor_multiplicity
+from lschains.ratmat import inverse, mat
 from lschains.rootsys import (
     OrbitPoset,
+    RootSystem,
     build_root_system,
     dual_weight,
     pairing,
@@ -472,6 +475,32 @@ def test_eps_lattice_validation():
         weight_from_eps(build_root_system("A2"), (1, 0, 0))
     # non-dominant eps data is still a weight, just not dominant
     assert weight_from_eps(B2, (0, 1)) == (-1, 2)
+
+
+AMBIENT_LABELS = ([f"A{n}" for n in range(1, 13)] + [f"B{n}" for n in range(2, 9)]
+                  + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+                  + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@pytest.mark.parametrize("label", AMBIENT_LABELS)
+def test_to_ambient_of_a_fundamental_weight_is_its_row_of_the_inverse_cartan(label):
+    # w_i = sum_k (C^-1)_ik alpha_k, with C^-1 by Gauss-Jordan in Fractions
+    R = build_root_system(label)
+    inv = inverse(mat(R.cartan))
+    simples = [r.ambient for r in R.positive_roots[: R.rank]]
+    for i in range(R.rank):
+        w = tuple(int(i == j) for j in range(R.rank))
+        expected = tuple(sum(c * a[k] for c, a in zip(inv[i], simples))
+                         for k in range(R.ambient_dim))
+        assert R.to_ambient(w) == expected
+        assert R.from_ambient(R.to_ambient(w)) == w
+
+
+def test_a_rank_40_system_builds_in_seconds():
+    start = time.monotonic()
+    R = RootSystem("D40", "D", 40)  # fresh, past the memo of build_root_system
+    assert time.monotonic() - start < 3
+    assert len(R.positive_roots) == 40 * 39
 
 
 @given(st.tuples(st.integers(0, 3), st.integers(0, 3)),
