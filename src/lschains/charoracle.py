@@ -5,17 +5,21 @@ the chain engine shares to pick its chain shape), weight multiplicities from
 the Freudenthal recursion, and tensor products from signed reflection of
 shifted weights into the dominant chamber (Brauer-Klimyk).  Everything is
 exact integer arithmetic: Freudenthal runs over the dominant weights only,
-with the W-invariant form written through root lengths and pairings.
+with the W-invariant form written through root lengths and pairings.  Each
+root string carries its pairing, <nu + k alpha, alpha_v> = <nu, alpha_v> + 2k,
+and each dominant weight's multiplicity fills its Weyl orbit straight from the
+levels of `rootsys._orbit`, which makes every element once and sorts nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import add, sub
 
 from .errors import InvariantViolation
 from .pathmodel import TensorDecomposition
-from .rootsys import RootSystem, Weight, dominant_weight, memo, weyl_dim, weyl_orbit
+from .rootsys import RootSystem, Weight, _orbit, dominant_weight, memo, weyl_dim
 
 __all__ = [
     "weyl_dim",
@@ -49,8 +53,8 @@ def _dominant_weights(R: RootSystem, lam: Weight) -> list[tuple[Weight, Weight]]
         nxt = []
         for mu in frontier:
             for r in R.positive_roots:
-                child = tuple(x - a for x, a in zip(mu, r.fund))
-                if child not in depth and R.is_dominant(child):
+                child = tuple(map(sub, mu, r.fund))
+                if min(child) >= 0 and child not in depth:
                     depth[child] = tuple(k + c for k, c in zip(depth[mu], r.coeffs))
                     nxt.append(child)
         frontier = nxt
@@ -64,21 +68,23 @@ def weight_multiplicities(R: RootSystem, lam) -> WeightMultiplicityTable:
 
 @memo
 def _weight_multiplicities(R: RootSystem, lam: Weight) -> WeightMultiplicityTable:
-    entries = dict.fromkeys(weyl_orbit(R, lam), 1)
+    entries = dict.fromkeys(chain.from_iterable(_orbit(R, lam)), 1)
     for nu, n in _dominant_weights(R, lam)[1:]:
         total = 0
-        for r in R.positive_roots:
-            w = tuple(x + a for x, a in zip(nu, r.fund))
-            # the rep of w lies strictly above nu, so w is filled iff it is a weight
+        for r, p in zip(R.positive_roots, R.pairings(nu)):
+            w = tuple(map(add, nu, r.fund))
+            # the rep of w lies strictly above nu, so w is filled iff it is a weight;
+            # <nu + k alpha, alpha_v> = <nu, alpha_v> + 2k along the string
             while (m := entries.get(w)) is not None:
-                total += m * r.d * R.pairing_root(w, r.index)
-                w = tuple(x + a for x, a in zip(w, r.fund))
+                p += 2
+                total += m * r.d * p
+                w = tuple(map(add, w, r.fund))
         # |lam+rho|^2 - |nu+rho|^2 = (lam - nu, lam + nu + 2 rho)
         denom = sum(k * d * (a + b + 2) for k, d, a, b in zip(n, R.simple_d, lam, nu))
         value, rem = divmod(2 * total, denom)
         if rem or value <= 0:
             raise InvariantViolation(f"Freudenthal failure at {nu} in V({lam}), {R.label}")
-        entries.update(dict.fromkeys(weyl_orbit(R, nu), value))
+        entries.update(dict.fromkeys(chain.from_iterable(_orbit(R, nu)), value))
     table = WeightMultiplicityTable(lam, entries)
     if sum(entries.values()) != weyl_dim(R, lam):
         raise InvariantViolation(f"multiplicity table of {lam} in {R.label} misses dimension")

@@ -227,7 +227,14 @@ def _check_chain_budget(R, shape, budget: int) -> int:
     _check_budget_sign(budget)
     dim = weyl_dim(R, shape)
     if dim > budget:
-        raise InputError(f"{R.label} shape {_wstr(shape)} has {dim} chains, "
+        try:
+            count = str(dim)
+        except ValueError:  # more digits than Python prints: give their number
+            digits = int((dim.bit_length() - 1) * 0.30102999566398120)  # <= log10(dim)
+            while 10 ** digits <= dim:
+                digits += 1
+            count = f"a {digits}-digit number of"
+        raise InputError(f"{R.label} shape {_wstr(shape)} has {count} chains, "
                          f"over --max-chains {budget}")
     return dim
 

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import prod
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 from .errors import InputError, InvariantViolation
@@ -165,32 +165,38 @@ class Root:
     d: int
 
 
-def _positive_roots_from_cartan(cartan: tuple[tuple[int, ...], ...]) -> list[Weight]:
-    """Closure of the simple roots under root strings, in simple-root coords."""
+def _positive_roots_from_cartan(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[Weight, Weight]]:
+    """Closure of the simple roots under root strings: (simple-root, fundamental) coords.
+
+    Each root carries its fundamental coordinates, fund(beta + alpha_i) =
+    fund(beta) + cartan[i], so <beta, alpha_i_v> = fund(beta)[i] needs no sum.
+    beta + alpha_i is a root iff p > <beta, alpha_i_v>, with beta - p alpha_i
+    the bottom of the alpha_i-string.  Since p <= beta[i], a root with
+    beta[i] <= <beta, alpha_i_v> needs no string walk.
+    """
     rank = len(cartan)
-    simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    known = set(simple)
-    level = list(simple)
-    out = list(simple)
+    level = [(tuple(int(j == i) for j in range(rank)), cartan[i]) for i in range(rank)]
+    known = {beta for beta, _ in level}
+    out = list(level)
     while level:
         nxt = []
-        for beta in level:
-            for i in range(rank):
-                pair = sum(beta[k] * cartan[k][i] for k in range(rank))
-                p = 0
-                down = list(beta)
-                while True:
+        for beta, fund in level:
+            for i, f in enumerate(fund):
+                if beta[i] <= f:
+                    continue
+                p, down = 0, list(beta)
+                while p <= f:  # down[i] stays >= beta[i] - f - 1 >= 0
                     down[i] -= 1
-                    if down[i] < 0 or tuple(down) not in known:
+                    if tuple(down) not in known:
                         break
                     p += 1
-                if p - pair > 0:
+                if p > f:
                     up = list(beta)
                     up[i] += 1
                     cand = tuple(up)
                     if cand not in known:
                         known.add(cand)
-                        nxt.append(cand)
+                        nxt.append((cand, tuple(map(add, fund, cartan[i]))))
         nxt.sort()
         out.extend(nxt)
         level = nxt
@@ -219,20 +225,17 @@ class RootSystem:
         sparse = [[(k, x) for k, x in enumerate(a) if x] for a in amb]
 
         roots: list[Root] = []
-        for idx, coeffs in enumerate(_positive_roots_from_cartan(cartan)):
-            fund, ambient = [0] * rank, [0] * dim
+        for idx, (coeffs, fund) in enumerate(_positive_roots_from_cartan(cartan)):
+            ambient = [0] * dim
             for i, c in enumerate(coeffs):
                 if c:
-                    fund[i] += 2 * c
-                    for j, a in self._neighbours[i]:
-                        fund[j] += c * a
                     for k, x in sparse[i]:
                         ambient[k] += c * x
             d = _exact(_dot(ambient, ambient), short,
                        f"non-integral length for root {coeffs} in {label}")
             coroot = tuple(_exact(c * sd, d, f"non-integral coroot pairing in {label}")
                            for c, sd in zip(coeffs, self.simple_d))
-            roots.append(Root(idx, coeffs, tuple(fund), coroot, tuple(Q(x, 2) for x in ambient), d))
+            roots.append(Root(idx, coeffs, fund, coroot, tuple(Q(x, 2) for x in ambient), d))
         self.positive_roots: tuple[Root, ...] = tuple(roots)
         self.root_by_fund = {r.fund: r.index for r in roots}
         self.weyl_vector: Weight = (1,) * rank
@@ -380,24 +383,38 @@ def dual_weight(R: RootSystem, w: Weight) -> Weight:
 
 
 def _orbit(R: RootSystem, base: Weight) -> list[list[Weight]]:
-    """Weyl orbit of a dominant weight as BFS levels from base, each level sorted.
+    """Weyl orbit of a dominant weight as BFS levels from base, each made once, unsorted.
 
     The level of w is its length l(w) = #{alpha > 0 : <w, alpha_v> < 0}: a
-    simple reflection with w[i] > 0 adds exactly one such root.  The last
-    level is empty.
+    simple reflection at w[i] > 0 adds exactly one such root, and at w[i] < 0
+    removes one.  So each non-dominant weight has one canonical parent, its
+    reflection at its first negative coordinate, one level up.  From w the
+    child s_i(w) is kept only if it has no negative coordinate before i,
+    that is, only if w is its canonical parent: every element is made exactly
+    once, with no seen set.  s_i changes only i and its Dynkin neighbours, so
+    when the first negative coordinate of w lies before i and is not a
+    neighbour of i, s_i(w) is not built.  The last level is empty.
     """
+    neighbours = R._neighbours
+    near = [{j for j, _ in nb} for nb in neighbours]
     levels = [[base]]
-    seen = {base}
     while levels[-1]:
-        nxt = set()
+        nxt = []
         for w in levels[-1]:
-            for i in range(R.rank):
-                if w[i] > 0:
-                    child = R.reflect_root(w, i)
-                    if child not in seen:
-                        nxt.add(child)
-        seen.update(nxt)
-        levels.append(sorted(nxt))
+            first = -1  # the first negative coordinate of w seen so far
+            for i, m in enumerate(w):
+                if m > 0:
+                    if first >= 0 and first not in near[i]:
+                        continue
+                    child = list(w)
+                    child[i] = -m
+                    for j, a in neighbours[i]:
+                        child[j] -= m * a
+                    if first < 0 or min(child[:i]) >= 0:
+                        nxt.append(tuple(child))
+                elif m < 0 and first < 0:
+                    first = i
+        levels.append(nxt)
     return levels
 
 
@@ -411,12 +428,14 @@ class OrbitPoset:
     m = <nu, alpha_v> > 0 is a cover iff l(sigma_alpha(nu)) = l(nu) + 1.
     covers hold those relations, labeled by the root and the positive
     integer m.  pairings[i] is R.pairings(elements[i]), the m of every root.
+    Each level is sorted here, since `_orbit` leaves its levels unsorted and
+    the element indices fix the canonical chain order.
     """
 
     def __init__(self, R: RootSystem, base: Weight):
         self.system = R
         self.base = base
-        levels = _orbit(R, base)
+        levels = [sorted(level) for level in _orbit(R, base)]
         elements = self.elements = tuple(w for level in levels for w in level)
         index = self.index = {w: i for i, w in enumerate(elements)}
         length = [k for k, level in enumerate(levels) for _ in level]
@@ -517,6 +536,11 @@ def _eps_number(x) -> Q:
         raise InputError(f"bad eps coordinates: {x!r}") from None
 
 
+def _eps_text(v) -> str:
+    """Eps coordinates as a user writes them, (3/2, 1/2, 0), not as Fraction reprs."""
+    return f"({', '.join(map(str, v))})"
+
+
 def weight_from_eps(R: RootSystem, coords) -> Weight:
     """Fundamental coordinates of an epsilon-coordinate weight (types B, C).
 
@@ -532,14 +556,14 @@ def weight_from_eps(R: RootSystem, coords) -> Weight:
         raise InputError(f"expected {R.rank} eps coordinates, got {len(v)}")
     if R.series == "C":
         if any(x.denominator != 1 for x in v):
-            raise InputError(f"{v} is not in the type C weight lattice")
+            raise InputError(f"{_eps_text(v)} is not in the type C weight lattice")
     else:
         denoms = {x.denominator for x in v}
         if not (denoms <= {1} or denoms == {2}):
-            raise InputError(f"{v} is not in the type B weight lattice")
+            raise InputError(f"{_eps_text(v)} is not in the type B weight lattice")
     fund = R.from_ambient(v)
     if any(x.denominator != 1 for x in fund):
-        raise InputError(f"{v} is not a weight of {R.label}")
+        raise InputError(f"{_eps_text(v)} is not a weight of {R.label}")
     return tuple(int(x) for x in fund)
 
 

@@ -1,8 +1,10 @@
 """Dimension formula, weight multiplicities, and the signed-folding product."""
 
+import ast
 import itertools
 from collections import Counter
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,45 @@ def test_table_is_the_path_model_character(label, lam):
     R = build_root_system(label)
     endpoints = Counter(chain_endpoint(c) for c in enumerate_ls_chains(R, lam))
     assert weight_multiplicities(R, lam).entries == endpoints
+
+
+def _oracle_pool_weights():
+    """The 52 pool weights of the tensor-oracle benchmark workload, as perfbench/workloads.py lists them."""
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text()
+    pools = next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                 if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "ORACLE_POOLS")
+    return [(label, w) for label, pool in pools.items() for w in pool]
+
+
+def _table_by_pairing_root(R, lam):
+    """Reference Freudenthal: each root-string step paired by pairing_root, each orbit from weyl_orbit."""
+    depth, frontier = {lam: (0,) * R.rank}, [lam]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for r in R.positive_roots:
+                child = tuple(x - a for x, a in zip(mu, r.fund))
+                if R.is_dominant(child) and child not in depth:
+                    depth[child] = tuple(k + c for k, c in zip(depth[mu], r.coeffs))
+                    nxt.append(child)
+        frontier = nxt
+    entries = dict.fromkeys(weyl_orbit(R, lam), 1)
+    for nu, n in sorted(depth.items(), key=lambda item: (sum(item[1]), item[0]))[1:]:
+        total = 0
+        for r in R.positive_roots:
+            w = tuple(x + a for x, a in zip(nu, r.fund))
+            while w in entries:
+                total += entries[w] * r.d * R.pairing_root(w, r.index)
+                w = tuple(x + a for x, a in zip(w, r.fund))
+        denom = sum(k * d * (a + b + 2) for k, d, a, b in zip(n, R.simple_d, lam, nu))
+        entries.update(dict.fromkeys(weyl_orbit(R, nu), 2 * total // denom))
+    return entries
+
+
+@pytest.mark.parametrize("label,lam", _oracle_pool_weights())
+def test_benchmark_pool_tables_equal_the_pairing_root_reference(label, lam):
+    R = build_root_system(label)
+    assert weight_multiplicities(R, lam).entries == _table_by_pairing_root(R, lam)
 
 
 def test_multiplicity_is_weyl_invariant():

@@ -300,13 +300,33 @@ def test_eps_coordinates_with_an_exponent_fail_fast(capsys, coord):
 @pytest.mark.parametrize("argv", [
     ("tensor", "B2", "9" * 4000 + ",0", "0,0"),
     ("tensor", "B2", "9" * 4000 + ",0", "0,0", "--json"),
-    ("chains", "B2", "9" * 4000 + ",0"),
+    ("tensor", "B2", "0,0", "9" * 4000 + ",0", "--oracle"),
 ])
 def test_results_past_the_int_digit_limit_exit_1(capsys, argv):
-    # dim V(lam) of B2 has about 16,000 digits here, past what Python prints
+    # dim V(lam) of B2 has about 12,000 digits here, past what Python prints
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: a result has more than 4300 digits")
+
+
+def test_a_refusal_names_the_budget_when_the_chain_count_is_too_long_to_print(capsys):
+    shape = "9" * 4000 + ",0"
+    code, out, err = run(capsys, "chains", "B2", shape)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: B2 shape {shape} has a ") and "over --max-chains 1000000" in err
+    digits = int(err.split("has a ")[1].split("-digit number of chains")[0])
+    dim = weyl_dim(build_root_system("B2"), (int("9" * 4000), 0))
+    assert 10 ** (digits - 1) <= dim < 10 ** digits
+
+
+@pytest.mark.parametrize("label, eps, text", [
+    ("C3", "eps:1.5,0.5,0", "(3/2, 1/2, 0) is not in the type C weight lattice"),
+    ("B2", "eps:1,0.5", "(1, 1/2) is not in the type B weight lattice"),
+])
+def test_eps_lattice_errors_print_the_coordinates_as_written(capsys, label, eps, text):
+    code, out, err = run(capsys, "tensor", label, eps, eps)
+    assert (code, out) == (1, "")
+    assert err == f"error: {text}\n"
 
 
 def test_eps_weight_outside_lattice(capsys):

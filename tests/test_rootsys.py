@@ -21,6 +21,7 @@ from lschains.ratmat import inverse, mat
 from lschains.rootsys import (
     OrbitPoset,
     RootSystem,
+    _orbit,
     build_root_system,
     dual_weight,
     pairing,
@@ -243,6 +244,44 @@ def test_weyl_group_order_matches_rho_orbit():
     for label in ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2"]:
         R = build_root_system(label)
         assert weyl_group_order(label) == len(weyl_orbit(R, R.weyl_vector))
+
+
+def _orbit_by_seen_set(R, mu):
+    """Reference: BFS levels of the orbit of mu through every simple reflection, with a seen set."""
+    levels, seen = [{mu}], {mu}
+    while levels[-1]:
+        nxt = {reflect(R, w, i) for w in levels[-1] for i in range(R.rank)} - seen
+        seen |= nxt
+        levels.append(nxt)
+    return levels
+
+
+ORBIT_CASES = [(label, mu) for label in ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3",
+                                         "C4", "D4", "F4", "G2"]
+               for mu in itertools.product(range(2), repeat=build_root_system(label).rank)]
+ORBIT_CASES += [("E6", mu) for mu in [(0,) * 6, (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0),
+                                      (0, 0, 0, 1, 0, 0), (1, 0, 0, 0, 0, 1), (0, 0, 1, 0, 1, 0)]]
+
+
+@pytest.mark.parametrize("label, mu", ORBIT_CASES)
+def test_orbit_makes_each_element_once_at_its_length(label, mu):
+    R = build_root_system(label)
+    levels = _orbit(R, mu)
+    assert [set(level) for level in levels] == _orbit_by_seen_set(R, mu)
+    assert sum(map(len, levels)) == len({w for level in levels for w in level})
+    for k, level in enumerate(levels):
+        for w in level:
+            assert sum(p < 0 for p in R.pairings(w)) == k
+
+
+@pytest.mark.parametrize("label, mu", [("A3", (1, 1, 1)), ("B3", (1, 0, 1)), ("G2", (2, 1)),
+                                       ("F4", (1, 0, 0, 1)), ("E6", (0, 1, 0, 0, 0, 1))])
+def test_orbit_poset_sorts_each_level(label, mu):
+    R = build_root_system(label)
+    poset = weyl_orbit_poset(R, mu)
+    levels = _orbit(R, mu)
+    assert poset.elements == tuple(w for level in levels for w in sorted(level))
+    assert weyl_orbit(R, mu) == tuple(sorted(poset.elements))
 
 
 def test_orbit_of_zero():
